@@ -21,6 +21,11 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
+int ThreadPool::size() const {
+  std::lock_guard lk(mu_);
+  return static_cast<int>(workers_.size());
+}
+
 void ThreadPool::set_clock(const Clock* clock) {
   std::lock_guard lk(mu_);
   clock_ = clock;
@@ -47,8 +52,10 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
     queue_peak_ = std::max(queue_peak_, queue_.size());
     // Elastic growth: with every worker busy (possibly blocked on work
     // this very queue feeds), a queued task could wait forever.  Give it
-    // its own worker instead of gambling on one freeing up.
-    if (elastic_ && idle_ == 0 && !stopping_) {
+    // its own worker instead of gambling on one freeing up.  Parked
+    // workers already woken for earlier tasks still count in idle_ until
+    // they run, so compare against the queue, not against zero.
+    if (elastic_ && queue_.size() > idle_ && !stopping_) {
       workers_.emplace_back([this] { worker_loop(); });
     }
   }

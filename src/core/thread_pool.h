@@ -45,19 +45,21 @@ struct ThreadPoolStats {
 class ThreadPool {
  public:
   // elastic=true lets the pool grow past num_threads: submit() spawns an
-  // extra worker whenever no worker is idle.  Use this for pools whose
-  // tasks may BLOCK on work serviced by the same pool family (e.g. the
-  // deployment peer doors, where a chain forward waits on the next hop's
-  // reply) -- a bounded pool there is a hold-and-wait deadlock waiting to
-  // happen.  Grown workers persist until destruction, so the thread count
-  // high-water-marks at peak concurrency.
+  // extra worker whenever queued tasks outnumber idle workers.  Use this
+  // for pools whose tasks may BLOCK on work serviced by the same pool
+  // family (e.g. the deployment peer doors, where a chain forward waits on
+  // the next hop's reply) -- a bounded pool there is a hold-and-wait
+  // deadlock waiting to happen.  Grown workers persist until destruction,
+  // so the thread count high-water-marks at peak concurrency.
   explicit ThreadPool(int num_threads, bool elastic = false);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return static_cast<int>(workers_.size()); }
+  // Current worker count.  Read under the queue lock: an elastic pool's
+  // submit() grows workers_ concurrently.
+  int size() const;
 
   // Enqueue arbitrary work; the future resolves when it has run.
   std::future<void> submit(std::function<void()> fn);

@@ -62,6 +62,8 @@ void collect_front_stats(const std::string& prefix,
   emit("_connections_accepted_total", static_cast<double>(s.accepted));
   emit("_connections_closed_total", static_cast<double>(s.closed));
   emit("_requests_total", static_cast<double>(s.requests));
+  emit("_overlapped_requests_total",
+       static_cast<double>(s.overlapped_requests));
   emit("_read_timeouts_total", static_cast<double>(s.read_timeouts));
   emit("_overflow_closes_total", static_cast<double>(s.overflow_closes));
   emit("_accept_failures_total", static_cast<double>(s.accept_failures));
@@ -883,12 +885,20 @@ core::Status TcpDeployment::start() {
             wait_hist.observe(wait_s);
             run_hist.observe(run_s);
           });
+      // Block reads are independent of each other, so consecutive reads
+      // pipelined on one client connection overlap their disk sleeps
+      // across the pool; writes and introspection stay barriers.  Peer
+      // doors keep strict serial dispatch.
+      net::ReactorServerOptions front_opts = ropts;
+      front_opts.overlappable = [](std::uint32_t type) {
+        return type == kBlockReadRequest;
+      };
       auto front = std::make_unique<net::ReactorServer>(
           *reactors_,
           [srv](net::Message&& msg, std::uint64_t conn_id) {
             return srv->handle_request(std::move(msg), conn_id);
           },
-          ropts, pool);
+          front_opts, pool);
       front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
       if (auto st = front->listen(0); !st.is_ok()) return st;
       addresses_.push_back(ServerAddress{"127.0.0.1", front->port()});

@@ -34,6 +34,7 @@ BlockServer::BlockServer(std::string name, DiskModel disk, bool throttle,
       read_timeouts_(registry_.counter("dpss_server_read_timeouts_total")),
       chain_forwards_(registry_.counter("dpss_server_chain_forwards_total")),
       parity_deltas_(registry_.counter("dpss_server_parity_deltas_total")),
+      read_joins_(registry_.counter("dpss_server_read_joins_total")),
       in_flight_(registry_.gauge("dpss_server_in_flight")),
       read_seconds_(registry_.histogram("dpss_server_read_seconds")),
       write_seconds_(registry_.histogram("dpss_server_write_seconds")),
@@ -302,6 +303,9 @@ core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
     const std::string& dataset, std::uint64_t block, int concurrent,
     std::uint64_t conn_id, bool* cache_hit, std::uint64_t* generation) {
   if (cache_) {
+    // A block already on its way in from the disk model (a prefetch fill,
+    // or another connection's miss) is waited for, not read twice.
+    await_disk_read(dataset, block);
     const cache::BlockKey key{dataset, block,
                               block_generation(dataset, block)};
     // The pin keeps the block resident (not just alive) for the duration
@@ -320,12 +324,14 @@ core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
   auto stamped = stamped_block(dataset, block);
   if (!stamped.is_ok()) return stamped.status();
   *generation = stamped.value().generation;
+  const bool tracked = cache_ && begin_disk_read(dataset, block);
   charge_disk(stamped.value().data.size(), concurrent);
   if (cache_) {
     cache_->insert(
         cache::BlockKey{dataset, block, stamped.value().generation},
         stamped.value().data);
   }
+  if (tracked) end_disk_read(dataset, block);
   if (prefetcher_) {
     prefetcher_->on_access(dataset, block, UINT64_MAX, conn_id);
   }
@@ -340,6 +346,10 @@ void BlockServer::prefetch_fill(const std::string& dataset,
   if (!stamped.is_ok()) return;
   const cache::BlockKey key{dataset, block, stamped.value().generation};
   if (cache_->contains(key)) return;
+  if (!begin_disk_read(dataset, block)) {
+    read_joins_.inc();  // a demand miss is already reading it in
+    return;
+  }
   // A prefetch is a real disk read -- it pays the model's service time
   // (concurrency 1: read-ahead streams sequentially off its spindle) --
   // but it pays *off* the client's critical path.
@@ -351,6 +361,31 @@ void BlockServer::prefetch_fill(const std::string& dataset,
                   {"BYTES", std::to_string(stamped.value().data.size())}});
   }
   cache_->insert(key, std::move(stamped).take().data, /*prefetched=*/true);
+  end_disk_read(dataset, block);
+}
+
+bool BlockServer::begin_disk_read(const std::string& dataset,
+                                  std::uint64_t block) {
+  std::lock_guard lk(disk_reads_mu_);
+  return disk_reads_.insert(std::make_pair(dataset, block)).second;
+}
+
+void BlockServer::end_disk_read(const std::string& dataset,
+                                std::uint64_t block) {
+  {
+    std::lock_guard lk(disk_reads_mu_);
+    disk_reads_.erase(std::make_pair(dataset, block));
+  }
+  disk_reads_cv_.notify_all();
+}
+
+void BlockServer::await_disk_read(const std::string& dataset,
+                                  std::uint64_t block) {
+  const auto read = std::make_pair(dataset, block);
+  std::unique_lock lk(disk_reads_mu_);
+  if (disk_reads_.count(read) == 0) return;
+  read_joins_.inc();
+  disk_reads_cv_.wait(lk, [&] { return disk_reads_.count(read) == 0; });
 }
 
 std::shared_ptr<BlockServer::PeerLink> BlockServer::peer_link(

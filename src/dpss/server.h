@@ -3,8 +3,11 @@
 // "Typical DPSS implementations consist of several low-cost workstations as
 // DPSS block servers, each with several disk controllers, and several disks
 // on each controller" (section 3.5).  A BlockServer stores logical blocks
-// for any number of datasets and services read/write requests arriving over
-// ByteStream connections, one service thread per connection.
+// for any number of datasets and services read/write requests through
+// handle_request(), which is thread-safe: the reactor front door runs the
+// block reads pipelined on one connection concurrently on a worker pool
+// (net/reactor_server.h), while the blocking serve() shim for in-memory
+// pipes runs one service thread per connection.
 //
 // The DiskModel captures the physical substrate we don't have: each server
 // owns `disks` independent spindles; a block read costs a seek plus
@@ -30,12 +33,15 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/block_cache.h"
@@ -165,6 +171,11 @@ class BlockServer {
 
   // Number of requests served (for load-balance verification).
   std::uint64_t requests_served() const { return requests_.value(); }
+  // Block reads that found the same block already being read in from the
+  // disk model and used that read instead of charging the model again: a
+  // demand miss waiting for a prefetch fill (or another demand miss), or a
+  // prefetch fill skipping a block a demand miss is loading.
+  std::uint64_t read_joins() const { return read_joins_.value(); }
 
   // This server's metrics plane: the request counters above plus the
   // read/write latency histograms, rendered by the kStatsRequest handler.
@@ -223,6 +234,15 @@ class BlockServer {
   // Prefetch path: stream one predicted block from the modelled disks into
   // the memory tier.
   void prefetch_fill(const std::string& dataset, std::uint64_t block);
+  // In-progress disk reads, keyed by (dataset, block), from the moment a
+  // read starts charging the disk model until its bytes are admitted to
+  // the memory tier.  begin returns false when the block is already being
+  // read.  await blocks while a read of the block is in progress, so the
+  // demand lookup that follows hits the filled entry; a prefetch that is
+  // queued but not yet started is not waited for.
+  bool begin_disk_read(const std::string& dataset, std::uint64_t block);
+  void end_disk_read(const std::string& dataset, std::uint64_t block);
+  void await_disk_read(const std::string& dataset, std::uint64_t block);
   double charge_disk(std::size_t block_bytes, int concurrent);
   // Store + re-key the memory tier under mu_.  generation == 0 allocates
   // current + 1 when `bump` (ingest writes), else preserves the current
@@ -276,6 +296,7 @@ class BlockServer {
   obs::Counter& read_timeouts_;
   obs::Counter& chain_forwards_;
   obs::Counter& parity_deltas_;
+  obs::Counter& read_joins_;
   obs::Gauge& in_flight_;
   obs::Histogram& read_seconds_;
   obs::Histogram& write_seconds_;
@@ -287,6 +308,9 @@ class BlockServer {
   std::shared_ptr<netlog::NetLogger> logger_;
   core::Clock* clock_ = &core::global_real_clock();
   std::atomic<std::uint64_t> modeled_disk_micros_{0};
+  std::mutex disk_reads_mu_;
+  std::condition_variable disk_reads_cv_;
+  std::set<std::pair<std::string, std::uint64_t>> disk_reads_;
   ServerCacheConfig cache_config_;
   // Teardown order matters: the prefetcher drains its in-flight fills
   // (which touch cache_ and store_) before the cache and pool go away, so

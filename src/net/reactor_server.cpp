@@ -30,6 +30,9 @@ struct ReactorServer::State {
   Handler handler;
   ReactorServerOptions opts;
   core::ThreadPool* workers;
+  // Most requests one connection may have dispatched and not yet written
+  // (Conn's window); 1 is strictly serial dispatch.
+  std::uint64_t window;
   std::function<void()> timeout_observer;
 
   int listen_fd = -1;
@@ -48,6 +51,7 @@ struct ReactorServer::State {
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;
   std::uint64_t requests = 0;
+  std::uint64_t overlapped_requests = 0;
   std::uint64_t read_timeouts = 0;
   std::uint64_t overflow_closes = 0;
   std::uint64_t accept_failures = 0;
@@ -59,7 +63,9 @@ struct ReactorServer::State {
 
   State(ReactorPool& p, Handler h, ReactorServerOptions o,
         core::ThreadPool* w)
-      : pool(p), handler(std::move(h)), opts(o), workers(w) {}
+      : pool(p), handler(std::move(h)), opts(std::move(o)), workers(w),
+        window(w && opts.overlappable ? static_cast<std::uint64_t>(w->size())
+                                      : 1) {}
 };
 
 // One accepted connection.  Every field is owned by `loop`'s thread; the
@@ -75,7 +81,16 @@ struct Conn : std::enable_shared_from_this<Conn> {
   std::deque<std::vector<std::uint8_t>> wq;
   std::size_t wq_head_off = 0;  // bytes of wq.front() already sent
   std::size_t wq_bytes = 0;
-  bool busy = false;    // a request is dispatched, its reply not yet queued
+  // The dispatch window, in request sequence numbers: [reply_seq,
+  // next_seq) are dispatched but not yet in wq, either still in the
+  // handler or finished early and held until every earlier reply is out.
+  // Bounding the span (not just the running handlers) bounds `held`.
+  std::uint64_t next_seq = 0;   // stamped on the next dispatched request
+  std::uint64_t reply_seq = 0;  // the next reply to go into wq
+  std::map<std::uint64_t, Message> held;
+  bool barrier = false;  // the window holds an unmarked request (alone)
+  // A complete request sits in rbuf that the window cannot take yet.
+  bool parked = false;
   bool closed = false;
   std::uint32_t armed = 0;  // current epoll interest
   TimerWheel::TimerId read_timer = 0;
@@ -97,9 +112,24 @@ struct Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
+  // Whether another request could be taken right now, i.e. whether reading
+  // more of the socket is useful.  While this is false EPOLLIN stays
+  // disarmed, so rbuf is bounded by what arrived before the pause plus one
+  // socket buffer.
+  bool reading() const {
+    return !parked && !barrier && in_window() < state->window;
+  }
+
+  std::uint64_t in_window() const { return next_seq - reply_seq; }
+
+  bool may_dispatch(bool independent) const {
+    return in_window() == 0 ||
+           (independent && !barrier && in_window() < state->window);
+  }
+
   void update_interest() {
     if (closed) return;
-    const std::uint32_t want = (busy ? 0u : Reactor::kReadable) |
+    const std::uint32_t want = (reading() ? Reactor::kReadable : 0u) |
                                (wq.empty() ? 0u : Reactor::kWritable);
     if (want == armed) return;
     armed = want;
@@ -114,9 +144,8 @@ struct Conn : std::enable_shared_from_this<Conn> {
   }
 
   void read_ready() {
-    // Pull everything the kernel has, then parse.  While a request is in
-    // flight EPOLLIN is disarmed, so rbuf is bounded by what arrived
-    // before the pause plus one socket buffer.
+    // Pull everything the kernel has, then parse (see reading() for what
+    // bounds rbuf).
     std::uint64_t got = 0;
     for (;;) {
       std::uint8_t chunk[kReadChunk];
@@ -148,13 +177,15 @@ struct Conn : std::enable_shared_from_this<Conn> {
     state->bytes_read += n;
   }
 
-  // Parse at most one request off rbuf (dispatch is serial per
-  // connection) and manage the partial-request read timer.
+  // Dispatch every complete request in rbuf that the window admits, park
+  // the first one it does not, and manage the partial-request read timer.
   void parse_and_dispatch() {
-    if (closed || busy) return;
-    compact();
-    const std::size_t avail = rbuf.size() - rpos;
-    if (avail >= kFrameHeader) {
+    if (closed) return;
+    parked = false;
+    for (;;) {
+      compact();
+      const std::size_t avail = rbuf.size() - rpos;
+      if (avail < kFrameHeader) break;
       std::uint32_t magic, type;
       std::uint64_t len;
       std::memcpy(&magic, rbuf.data() + rpos, 4);
@@ -164,21 +195,27 @@ struct Conn : std::enable_shared_from_this<Conn> {
         close_conn();  // desynchronised or hostile peer
         return;
       }
-      if (avail >= kFrameHeader + len) {
-        Message msg;
-        msg.type = type;
-        std::memcpy(&msg.trace_id, rbuf.data() + rpos + 16, 8);
-        std::memcpy(&msg.span_id, rbuf.data() + rpos + 24, 8);
-        const auto* p = rbuf.data() + rpos + kFrameHeader;
-        msg.payload.assign(p, p + len);
-        rpos += kFrameHeader + static_cast<std::size_t>(len);
-        cancel_read_timer();
-        dispatch(std::move(msg));
-        return;
+      if (avail < kFrameHeader + len) break;
+      const bool independent =
+          state->opts.overlappable && state->opts.overlappable(type);
+      if (!may_dispatch(independent)) {
+        parked = true;
+        break;
       }
+      Message msg;
+      msg.type = type;
+      std::memcpy(&msg.trace_id, rbuf.data() + rpos + 16, 8);
+      std::memcpy(&msg.span_id, rbuf.data() + rpos + 24, 8);
+      const auto* p = rbuf.data() + rpos + kFrameHeader;
+      msg.payload.assign(p, p + len);
+      rpos += kFrameHeader + static_cast<std::size_t>(len);
+      cancel_read_timer();  // the next request's deadline starts afresh
+      dispatch(std::move(msg), independent);
     }
-    // Incomplete request: bound how long the tail may dawdle.
-    if (rbuf.size() - rpos > 0) {
+    // Incomplete request we are reading: bound how long the tail may
+    // dawdle.  A parked request, or a tail we are not reading, is waiting
+    // on us, not on the peer.
+    if (reading() && rbuf.size() - rpos > 0) {
       arm_read_timer();
     } else {
       cancel_read_timer();
@@ -192,7 +229,7 @@ struct Conn : std::enable_shared_from_this<Conn> {
     auto self = shared_from_this();
     read_timer = loop->schedule_after(t, [self] {
       self->read_timer = 0;
-      if (self->closed || self->busy) return;
+      if (self->closed || !self->reading()) return;
       if (self->rbuf.size() - self->rpos == 0) return;  // became idle
       {
         std::lock_guard lk(self->state->mu);
@@ -219,16 +256,17 @@ struct Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
-  void dispatch(Message&& msg) {
-    busy = true;
-    update_interest();  // pause reading until the reply is queued
+  void dispatch(Message&& msg, bool independent) {
     {
       std::lock_guard lk(state->mu);
       ++state->requests;
+      if (in_window() > 0) ++state->overlapped_requests;
       ++state->in_flight;
     }
+    if (!independent) barrier = true;
+    const std::uint64_t seq = next_seq++;
     auto self = shared_from_this();
-    auto run = [self, msg = std::move(msg)]() mutable {
+    auto run = [self, seq, msg = std::move(msg)]() mutable {
       const std::uint64_t req_trace = msg.trace_id;
       const std::uint64_t req_span = msg.span_id;
       Message reply = self->state->handler(std::move(msg), self->id);
@@ -244,8 +282,8 @@ struct Conn : std::enable_shared_from_this<Conn> {
           self->state->drained_cv.notify_all();
         }
       }
-      auto finish = [self, reply = std::move(reply)]() mutable {
-        self->complete(std::move(reply));
+      auto finish = [self, seq, reply = std::move(reply)]() mutable {
+        self->complete(seq, std::move(reply));
       };
       if (self->loop->on_loop_thread()) {
         finish();  // inline handler: already on the loop
@@ -263,10 +301,37 @@ struct Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
-  // Reply produced: frame it into the bounded write queue and resume.
-  void complete(Message&& reply) {
+  // Reply `seq` produced: release it and every held successor into the
+  // bounded write queue in request order, then refill the window.
+  void complete(std::uint64_t seq, Message&& reply) {
     if (closed) return;
-    busy = false;
+    held.emplace(seq, std::move(reply));
+    while (!held.empty() && held.begin()->first == reply_seq) {
+      enqueue(std::move(held.begin()->second));
+      held.erase(held.begin());
+      ++reply_seq;
+    }
+    if (in_window() == 0) barrier = false;
+    const std::size_t cap = state->opts.write_queue_cap_bytes;
+    if (cap > 0 && wq_bytes > cap) {
+      // Back-pressure: the peer is not draining replies; shedding the
+      // connection bounds memory where thread-per-connection grew stacks.
+      {
+        std::lock_guard lk(state->mu);
+        ++state->overflow_closes;
+      }
+      close_conn();
+      return;
+    }
+    flush_writes();
+    if (closed) return;
+    // A pipelined request may already be buffered; otherwise this re-arms
+    // EPOLLIN via update_interest().
+    parse_and_dispatch();
+  }
+
+  // Frame one reply onto the write queue.
+  void enqueue(Message&& reply) {
     std::vector<std::uint8_t> frame(kFrameHeader + reply.payload.size());
     const std::uint32_t magic = kMessageMagic;
     const std::uint64_t len = reply.payload.size();
@@ -286,22 +351,6 @@ struct Conn : std::enable_shared_from_this<Conn> {
         state->conn_write_queue_hwm_bytes = wq_bytes;
       }
     }
-    const std::size_t cap = state->opts.write_queue_cap_bytes;
-    if (cap > 0 && wq_bytes > cap) {
-      // Back-pressure: the peer is not draining replies; shedding the
-      // connection bounds memory where thread-per-connection grew stacks.
-      {
-        std::lock_guard lk(state->mu);
-        ++state->overflow_closes;
-      }
-      close_conn();
-      return;
-    }
-    flush_writes();
-    if (closed) return;
-    // A pipelined request may already be buffered; otherwise this re-arms
-    // EPOLLIN via update_interest().
-    parse_and_dispatch();
   }
 
   void flush_writes() {
@@ -362,6 +411,7 @@ struct Conn : std::enable_shared_from_this<Conn> {
     add_queued(-static_cast<std::ptrdiff_t>(wq_bytes));
     wq.clear();
     wq_bytes = 0;
+    held.clear();
     std::lock_guard lk(state->mu);
     ++state->closed;
     state->conns.erase(id);
@@ -504,6 +554,7 @@ ReactorServerStats ReactorServer::stats() const {
   out.accepted = state_->accepted;
   out.closed = state_->closed;
   out.requests = state_->requests;
+  out.overlapped_requests = state_->overlapped_requests;
   out.read_timeouts = state_->read_timeouts;
   out.overflow_closes = state_->overflow_closes;
   out.accept_failures = state_->accept_failures;

@@ -7,9 +7,15 @@
 //
 //   * reads are readiness-driven and parsed incrementally; a connection
 //     costs a buffer, not a thread stack;
-//   * requests on one connection dispatch strictly serially (replies stay
-//     in order, which the pipelined DpssFile fetch paths rely on), while
-//     different connections proceed independently;
+//   * each connection keeps a small dispatch window: consecutive requests
+//     the owner marks independent (ReactorServerOptions::overlappable)
+//     run at the same time, up to the worker pool's thread count; any
+//     other request is a barrier that waits for the window to drain and
+//     then runs alone.  Finished replies wait in a per-connection sequence
+//     buffer and leave in request order, so the bytes on the wire are
+//     those of strictly serial dispatch (the pipelined DpssFile fetch
+//     paths match replies positionally).  Inline servers (no worker pool)
+//     stay strictly serial; different connections proceed independently;
 //   * handlers optionally run on a worker ThreadPool so a handler that
 //     blocks (modelled disk sleeps, chain forwarding to a peer) never
 //     stalls an event loop;
@@ -45,12 +51,19 @@ struct ReactorServerOptions {
   // connections -- no partial request -- never time out.
   double request_read_timeout_seconds = 0.0;
   std::size_t max_payload = 1ull << 32;
+  // Marks request types whose handlers are independent of each other on
+  // one connection (e.g. block reads), so consecutive ones may overlap.
+  // Empty: every request is a barrier (strictly serial dispatch).
+  std::function<bool(std::uint32_t type)> overlappable;
 };
 
 struct ReactorServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;
   std::uint64_t requests = 0;
+  // Requests dispatched while another request on the same connection was
+  // still in its handler: how much of the dispatch window is used.
+  std::uint64_t overlapped_requests = 0;
   std::uint64_t read_timeouts = 0;
   std::uint64_t overflow_closes = 0;   // write-queue cap exceeded
   std::uint64_t accept_failures = 0;   // EMFILE etc.
@@ -70,14 +83,20 @@ struct ReactorServerStats {
 
 class ReactorServer {
  public:
-  // One request in, one reply out; invoked serially per connection.
-  // `conn_id` is stable for a connection's lifetime and unique within this
-  // server (feeds e.g. the block server's per-connection stride detector).
+  // One request in, one reply out.  Requests marked overlappable may be in
+  // the handler concurrently on one connection (from different worker
+  // threads), so the handler must be thread-safe for those types; every
+  // other request runs alone and after all earlier requests on its
+  // connection have returned.  `conn_id` is stable for a connection's
+  // lifetime and unique within this server (feeds e.g. the block server's
+  // per-connection stride detector).
   using Handler = std::function<Message(Message&&, std::uint64_t conn_id)>;
 
   // `workers` null runs handlers inline on the event loop (only for
   // handlers that never block); non-null offloads them, keeping loops pure
-  // I/O.  The pool and the pool of reactors must outlive this server.
+  // I/O, and sizes each connection's dispatch window to the pool's thread
+  // count at construction.  The pool and the pool of reactors must outlive
+  // this server.
   ReactorServer(ReactorPool& pool, Handler handler,
                 ReactorServerOptions options = {},
                 core::ThreadPool* workers = nullptr);

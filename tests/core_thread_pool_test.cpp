@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -141,6 +142,13 @@ TEST(ThreadPool, BurstAccountingWithInjectedClock) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready);
     f.get();
   }
+  // A task's future resolves before its worker counts it complete and
+  // calls the observer, so wait for the last observation before reading
+  // either (and before `observed` goes out of scope).
+  ASSERT_TRUE(test_support::wait_until([&] {
+    std::lock_guard lk(obs_mu);
+    return observed.size() == 10u;
+  }));
 
   auto done = pool.stats();
   EXPECT_EQ(done.completed, 10u);
@@ -148,7 +156,6 @@ TEST(ThreadPool, BurstAccountingWithInjectedClock) {
   EXPECT_GE(done.queue_peak, 8u);
 
   std::lock_guard lk(obs_mu);
-  ASSERT_EQ(observed.size(), 10u);
   int waited_five = 0;
   for (const auto& [wait_s, run_s] : observed) {
     if (wait_s == 5.0) ++waited_five;
@@ -174,6 +181,34 @@ TEST(ThreadPool, ElasticPoolGrowsPastBlockedWorkers) {
   ASSERT_EQ(fut2.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   EXPECT_GE(pool.size(), 2);
+}
+
+TEST(ThreadPool, SizeIsSafeWhileElasticSubmitsGrowThePool) {
+  // Every task blocks on a gate, so each submit finds its task without an
+  // idle worker and grows the pool, while another thread keeps reading
+  // size().  Under TSan an unlocked read of the worker vector is a
+  // reported race.
+  ThreadPool pool(1, /*elastic=*/true);
+  std::promise<void> gate;
+  auto open = gate.get_future().share();
+  std::atomic<bool> growing{true};
+  int seen_max = 0;
+  std::thread reader([&] {
+    while (growing.load()) seen_max = std::max(seen_max, pool.size());
+  });
+  constexpr int kTasks = 16;
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < kTasks; ++i) {
+    futs.push_back(pool.submit([open] { open.wait(); }));
+  }
+  growing.store(false);
+  reader.join();
+  gate.set_value();
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  }
+  EXPECT_GE(pool.size(), 2);
+  EXPECT_LE(seen_max, pool.size());
 }
 
 TEST(ThreadPool, NonElasticPoolKeepsFixedSize) {

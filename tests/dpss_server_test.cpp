@@ -2,13 +2,83 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "dpss/protocol.h"
 #include "net/stream.h"
+#include "support/test_support.h"
 
 namespace visapult::dpss {
 namespace {
+
+// Real-time clock whose sleep_for() returns at once on the constructing
+// thread but holds every other thread (prefetch workers, helper threads)
+// until release(), counting the sleeps it is holding.  Lets a test freeze
+// a throttled disk read mid-sleep.
+class GatedClock final : public core::Clock {
+ public:
+  core::TimePoint now() const override {
+    return core::global_real_clock().now();
+  }
+  void sleep_for(double) override {
+    if (std::this_thread::get_id() == owner_) return;
+    std::unique_lock lk(mu_);
+    ++held_;
+    cv_.wait(lk, [&] { return open_; });
+  }
+  void release() {
+    {
+      std::lock_guard lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  int held() const {
+    std::lock_guard lk(mu_);
+    return held_;
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  int held_ = 0;
+};
+
+// A prefetcher that reads one block ahead on a single worker.
+ServerCacheConfig one_ahead_prefetch() {
+  ServerCacheConfig cache;
+  cache.prefetch_config.depth = 1;
+  cache.prefetch_threads = 1;
+  return cache;
+}
+
+// Blocks 0..3 of "ds" (block b filled with b + 1) on the modelled disks
+// only, memory tier empty.  The prefetcher has no block 4 to predict.
+void store_cold_blocks(BlockServer& server) {
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(server
+                    .put_block("ds", b,
+                               std::vector<std::uint8_t>(
+                                   4096, static_cast<std::uint8_t>(b + 1)))
+                    .is_ok());
+  }
+  server.drop_cache();
+}
+
+net::Message read_request(std::uint64_t block) {
+  return encode_block_read_request(BlockReadRequest{"ds", block, {}});
+}
+
+std::uint8_t first_byte(const net::Message& reply) {
+  auto decoded = decode_block_read_reply(reply);
+  if (!decoded.is_ok() || decoded.value().data.empty()) return 0;
+  return decoded.value().data[0];
+}
 
 TEST(DiskModel, ServiceTimeGrowsWithQueueing) {
   DiskModel disk;
@@ -154,6 +224,70 @@ TEST(BlockServer, ConcurrentConnections) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(server.requests_served(), 32u * kClients);
   server.shutdown();
+}
+
+TEST(BlockServer, DemandMissJoinsInProgressPrefetchFill) {
+  GatedClock clock;
+  const DiskModel disk;
+  BlockServer server("s0", disk, /*throttle=*/true, one_ahead_prefetch());
+  server.set_clock(&clock);
+  store_cold_blocks(server);
+  const double per_block = disk.block_service_seconds(4096, 1);
+
+  // Demand reads of 0, 1, 2 on this thread (not held) confirm a stride-1
+  // run; the prefetcher then fills block 3 on its worker, where the clock
+  // holds it inside the disk sleep.
+  const std::uint64_t conn = server.allocate_conn_id();
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    ASSERT_EQ(first_byte(server.handle_request(read_request(b), conn)), b + 1);
+  }
+  ASSERT_TRUE(test_support::wait_until([&] { return clock.held() == 1; }));
+
+  // A demand read of block 3 arrives while its fill is still sleeping.
+  auto demand = std::async(std::launch::async, [&] {
+    return server.handle_request(read_request(3), conn);
+  });
+  EXPECT_TRUE(test_support::wait_until([&] { return server.read_joins() == 1; }));
+  clock.release();
+  EXPECT_EQ(first_byte(demand.get()), 4);
+  server.drop_cache();  // drains the prefetcher
+
+  // Block 3 cost the disk one service time (the fill), not two, and the
+  // demand read never slept.
+  EXPECT_NEAR(server.modeled_disk_seconds() - 3 * per_block, per_block, 1e-4);
+  EXPECT_EQ(clock.held(), 1);
+  EXPECT_EQ(server.cache_metrics().prefetch_hits, 1u);
+}
+
+TEST(BlockServer, PrefetchFillSkipsBlockADemandMissIsReading) {
+  GatedClock clock;
+  const DiskModel disk;
+  BlockServer server("s0", disk, /*throttle=*/true, one_ahead_prefetch());
+  server.set_clock(&clock);
+  store_cold_blocks(server);
+  const double per_block = disk.block_service_seconds(4096, 1);
+
+  // One connection's demand miss on block 3 is held inside its disk sleep.
+  auto demand = std::async(std::launch::async, [&] {
+    return server.handle_request(read_request(3), server.allocate_conn_id());
+  });
+  // (EXPECT, not ASSERT, from here on: returning early would leave the
+  // held thread behind the closed gate.)
+  EXPECT_TRUE(test_support::wait_until([&] { return clock.held() == 1; }));
+
+  // Another connection's run 0, 1, 2 predicts block 3: the fill finds the
+  // block already being read and leaves it to the demand miss.
+  const std::uint64_t conn = server.allocate_conn_id();
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    EXPECT_EQ(first_byte(server.handle_request(read_request(b), conn)), b + 1);
+  }
+  EXPECT_TRUE(test_support::wait_until([&] { return server.read_joins() == 1; }));
+  clock.release();
+  EXPECT_EQ(first_byte(demand.get()), 4);
+  server.drop_cache();
+
+  EXPECT_NEAR(server.modeled_disk_seconds(), 4 * per_block, 1e-4);
+  EXPECT_EQ(clock.held(), 1);
 }
 
 TEST(BlockServer, ShutdownUnblocksServiceThreads) {

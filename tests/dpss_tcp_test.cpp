@@ -72,6 +72,63 @@ TEST(DpssTcp, ConnectToDeadMasterPortFailsCleanly) {
   EXPECT_EQ(stream.status().code(), core::StatusCode::kUnavailable);
 }
 
+// Throttled disks with no memory tier: every block read sleeps in the disk
+// model, so block reads pipelined on one connection are in the handler
+// together.
+std::unique_ptr<TcpDeployment> cold_deployment(int servers) {
+  ServerCacheConfig no_cache;
+  no_cache.enabled = false;
+  return std::make_unique<TcpDeployment>(servers, DiskModel{4, 0.001, 1e9},
+                                         /*throttle=*/true, no_cache);
+}
+
+std::uint64_t overlapped_requests(const TcpDeployment& deployment) {
+  std::uint64_t total = 0;
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    total += deployment.server_net_stats(i).overlapped_requests;
+  }
+  return total;
+}
+
+TEST(DpssTcp, MultiBlockReadOverlapsOnEachServerConnection) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  auto deployment = cold_deployment(2);
+  ASSERT_TRUE(deployment->start().is_ok());
+  ASSERT_TRUE(deployment->ingest(desc, 8192).is_ok());
+  auto client = deployment->make_client();
+  ASSERT_TRUE(client.is_ok());
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok());
+
+  const vol::Volume v = desc.generate(0);
+  // 32 blocks of 8 KiB: 16 pipelined on each server's connection.
+  std::vector<std::uint8_t> buf(v.byte_size());
+  auto n = file.value()->pread(buf.data(), buf.size(), 0);
+  ASSERT_TRUE(n.is_ok());
+  ASSERT_EQ(n.value(), buf.size());
+  EXPECT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
+  EXPECT_GT(overlapped_requests(*deployment), 0u);
+  deployment->stop();
+}
+
+TEST(DpssTcp, WriteOnlyBatchNeverOverlaps) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  auto deployment = cold_deployment(3);
+  ASSERT_TRUE(deployment->start().is_ok());
+  ASSERT_TRUE(deployment->ingest(desc, 8192, 1, /*replication_factor=*/2).is_ok());
+  auto client = deployment->make_client();
+  ASSERT_TRUE(client.is_ok());
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok());
+  file.value()->set_ack_policy(ingest::AckPolicy::kAll);
+
+  // Writes are barriers: each one runs alone on its connection.
+  std::vector<std::uint8_t> data(32 * 8192, 0x5a);
+  ASSERT_TRUE(file.value()->write(data.data(), data.size()).is_ok());
+  EXPECT_EQ(overlapped_requests(*deployment), 0u);
+  deployment->stop();
+}
+
 TEST(DpssTcp, AclOverSockets) {
   vol::DatasetDesc desc = vol::small_combustion_dataset(1);
   TcpDeployment deployment(2);

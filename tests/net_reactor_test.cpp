@@ -1,6 +1,7 @@
 // Reactor net layer: timer-wheel semantics, readiness dispatch, and the
-// ReactorServer connection state machine (serial dispatch, back-pressure,
-// per-request read timeouts, and equivalence with the blocking shim).
+// ReactorServer connection state machine (the per-connection dispatch
+// window with in-order replies, back-pressure, per-request read timeouts,
+// and equivalence with the blocking shim).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -223,6 +224,22 @@ Message seq_message(std::uint32_t seq, std::size_t payload = 8) {
   return m;
 }
 
+std::uint32_t seq_of(const Message& m) {
+  std::uint32_t seq = 0;
+  std::memcpy(&seq, m.payload.data(), sizeof seq);
+  return seq;
+}
+
+// Window tests mark type 100 (seq_message) independent; any other type is
+// a barrier.
+constexpr std::uint32_t kBarrierType = 200;
+
+ReactorServerOptions overlap_type_100() {
+  ReactorServerOptions opts;
+  opts.overlappable = [](std::uint32_t type) { return type == 100; };
+  return opts;
+}
+
 TEST(ReactorServer, EchoRoundTrip) {
   ReactorPool pool(2);
   ReactorServer server(pool, [](Message&& m, std::uint64_t) {
@@ -256,9 +273,9 @@ TEST(ReactorServer, PipelinedRepliesComeBackInOrder) {
   auto client = TcpStream::connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.is_ok());
   constexpr std::uint32_t kN = 64;
-  // Burst all requests before reading any reply: the server must dispatch
-  // them strictly serially and keep reply order (DpssFile matches replies
-  // to requests positionally).
+  // Burst all requests before reading any reply: however the server
+  // dispatches them, replies must come back in request order (DpssFile
+  // matches replies to requests positionally).
   for (std::uint32_t i = 0; i < kN; ++i) {
     ASSERT_TRUE(send_message(*client.value(), seq_message(i)).is_ok());
   }
@@ -485,6 +502,212 @@ TEST(ReactorServer, CloseDrainsInFlightHandlers) {
   release.store(true);
   closer.join();
   EXPECT_TRUE(handler_done.load());
+}
+
+// ---- ReactorServer dispatch window ----
+
+TEST(ReactorServerWindow, OverlappedRequestsShareTheHandlerAndKeepReplyOrder) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  std::atomic<int> inside{0};
+  std::atomic<bool> both_inside{false};
+  std::atomic<bool> second_returned{false};
+  std::atomic<bool> second_finished_first{false};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        inside.fetch_add(1);
+        // Latch: neither request leaves until both are in the handler.
+        if (test_support::wait_until([&] { return inside.load() == 2; })) {
+          both_inside.store(true);
+        }
+        if (seq_of(m) == 0) {
+          // Hold the first reply until the second has left the handler,
+          // and give its reply time to reach the connection ahead of ours.
+          second_finished_first.store(
+              test_support::wait_until([&] { return second_returned.load(); }));
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        } else {
+          second_returned.store(true);
+        }
+        return m;
+      },
+      overlap_type_100(), &workers);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  ASSERT_TRUE(send_message(*client.value(), seq_message(0)).is_ok());
+  ASSERT_TRUE(send_message(*client.value(), seq_message(1)).is_ok());
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  EXPECT_TRUE(both_inside.load());
+  EXPECT_TRUE(second_finished_first.load());
+  EXPECT_EQ(server.stats().overlapped_requests, 1u);
+  server.close();
+}
+
+TEST(ReactorServerWindow, UnmarkedRequestRunsAloneAfterEveryEarlierOne) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(4);
+  std::atomic<int> active{0};
+  std::atomic<int> completed{0};
+  std::atomic<int> max_active{0};
+  std::atomic<bool> barrier_active{false};
+  std::atomic<bool> barrier_overlapped{false};
+  std::atomic<int> completed_before_barrier{-1};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        const int now = active.fetch_add(1) + 1;
+        int seen = max_active.load();
+        while (now > seen && !max_active.compare_exchange_weak(seen, now)) {
+        }
+        if (m.type == kBarrierType) {
+          barrier_active.store(true);
+          if (now != 1) barrier_overlapped.store(true);
+          completed_before_barrier.store(completed.load());
+        } else if (barrier_active.load()) {
+          barrier_overlapped.store(true);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (m.type == kBarrierType) barrier_active.store(false);
+        completed.fetch_add(1);
+        active.fetch_sub(1);
+        return m;
+      },
+      overlap_type_100(), &workers);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  // Three reads, a barrier, three more reads, all in one burst.
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    Message req = seq_message(i);
+    if (i == 3) req.type = kBarrierType;
+    ASSERT_TRUE(send_message(*client.value(), req).is_ok());
+  }
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+    EXPECT_EQ(reply.value().type, i == 3 ? kBarrierType : 100u);
+  }
+  EXPECT_FALSE(barrier_overlapped.load());
+  EXPECT_EQ(completed_before_barrier.load(), 3);
+  EXPECT_GE(max_active.load(), 2);  // the reads on either side overlapped
+  EXPECT_GE(server.stats().overlapped_requests, 2u);
+  server.close();
+}
+
+TEST(ReactorServerWindow, InlineServerStaysSerial) {
+  ReactorPool pool(2);
+  std::atomic<int> active{0};
+  std::atomic<int> max_active{0};
+  // Marked independent, but with no worker pool there is nothing to
+  // overlap on: dispatch must stay one at a time.
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        const int now = active.fetch_add(1) + 1;
+        int seen = max_active.load();
+        while (now > seen && !max_active.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        active.fetch_sub(1);
+        return m;
+      },
+      overlap_type_100());
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  constexpr std::uint32_t kN = 16;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(send_message(*client.value(), seq_message(i)).is_ok());
+  }
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  EXPECT_EQ(max_active.load(), 1);
+  EXPECT_EQ(server.stats().overlapped_requests, 0u);
+  server.close();
+}
+
+TEST(ReactorServerWindow, CloseDrainsWhileRepliesAreHeldOutOfOrder) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  std::atomic<bool> release{false};
+  std::atomic<bool> first_done{false};
+  std::atomic<bool> second_returned{false};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        if (seq_of(m) == 0) {
+          while (!release.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          first_done.store(true);
+        } else {
+          second_returned.store(true);
+        }
+        return m;
+      },
+      overlap_type_100(), &workers);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  ASSERT_TRUE(send_message(*client.value(), seq_message(0)).is_ok());
+  ASSERT_TRUE(send_message(*client.value(), seq_message(1)).is_ok());
+  // The second reply is finished and held behind the first, still running.
+  ASSERT_TRUE(test_support::wait_until([&] { return second_returned.load(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  std::thread closer([&] { server.close(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(first_done.load());  // close() is still waiting on it
+  release.store(true);
+  closer.join();
+  EXPECT_TRUE(first_done.load());
+  // The held reply died with the connection: the peer sees a close, never
+  // the second reply on its own.
+  EXPECT_FALSE(recv_message(*client.value()).is_ok());
+}
+
+TEST(ReactorServerWindow, WriteQueueCapStillShedsSlowConsumer) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  ReactorServerOptions opts = overlap_type_100();
+  opts.write_queue_cap_bytes = 64 * 1024;
+  ReactorServer server(
+      pool,
+      [](Message&& m, std::uint64_t) {
+        Message r;
+        r.type = m.type;
+        r.payload.resize(16 * 1024);
+        return r;
+      },
+      opts, &workers);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  for (int i = 0; i < 1000; ++i) {
+    if (!send_message(*client.value(), seq_message(0)).is_ok()) break;
+    if (server.stats().overflow_closes > 0) break;
+  }
+  EXPECT_TRUE(test_support::wait_until(
+      [&] { return server.stats().overflow_closes >= 1; }));
+  EXPECT_TRUE(
+      test_support::wait_until([&] { return server.stats().active_conns == 0; }));
+  EXPECT_GT(server.stats().overlapped_requests, 0u);
+  server.close();
 }
 
 }  // namespace
