@@ -62,9 +62,10 @@ struct PrefetchConfig {
 // of datasets (one RunDetector per dataset-and-stride stream).
 class Prefetcher {
  public:
-  // Performs the actual fetch+admit; runs on a pool thread (or inline when
-  // `pool` is null -- the deterministic mode unit tests use).  Must not
-  // call back into this Prefetcher.
+  // Performs the actual fetch+admit; runs on a pool thread, or inline on
+  // the caller of on_access() when `pool` is null (block servers, whose
+  // fills book the modelled disks without waiting for them, and the
+  // deterministic unit tests).  Must not call back into this Prefetcher.
   using Fetch =
       std::function<void(const std::string& dataset, std::uint64_t block)>;
   // Returns true when a predicted block should be skipped (already cached,

@@ -865,13 +865,17 @@ core::Status TcpDeployment::start() {
     if (auto st = master_front_->listen(0); !st.is_ok()) return st;
 
     for (auto& server : servers_) {
-      // Block-server handlers may sleep on the modelled disks or forward
-      // down a replica chain, so each server offloads to its own worker
-      // pool; per-server pools keep a forwarded hop from starving the
-      // downstream server's inbound capacity.
+      // Block-server handlers may forward down a replica chain, so each
+      // server offloads to its own worker pool; per-server pools keep a
+      // forwarded hop from starving the downstream server's inbound
+      // capacity.  Modelled disk reads hold no worker: the handler returns
+      // at once and its reply waits out the read on a loop timer.
       worker_pools_.push_back(std::make_unique<core::ThreadPool>(
           std::max(1, options_.worker_threads)));
       BlockServer* srv = server.get();
+      auto handler = [srv](net::Message&& msg, std::uint64_t conn_id) {
+        return srv->dispatch(std::move(msg), conn_id);
+      };
       core::ThreadPool* pool = worker_pools_.back().get();
       // Feed the pool's per-task wait/run timings into registered
       // histograms so the exposition carries p50/p95/p99 saturation
@@ -886,19 +890,18 @@ core::Status TcpDeployment::start() {
             run_hist.observe(run_s);
           });
       // Block reads are independent of each other, so consecutive reads
-      // pipelined on one client connection overlap their disk sleeps
-      // across the pool; writes and introspection stay barriers.  Peer
-      // doors keep strict serial dispatch.
+      // pipelined on one client connection overlap -- on the workers and
+      // on the modelled spindles, whichever allows more; writes and
+      // introspection stay barriers.  Peer doors keep strict serial
+      // dispatch.
       net::ReactorServerOptions front_opts = ropts;
       front_opts.overlappable = [](std::uint32_t type) {
         return type == kBlockReadRequest;
       };
-      auto front = std::make_unique<net::ReactorServer>(
-          *reactors_,
-          [srv](net::Message&& msg, std::uint64_t conn_id) {
-            return srv->handle_request(std::move(msg), conn_id);
-          },
-          front_opts, pool);
+      front_opts.window = static_cast<std::size_t>(
+          std::max({1, options_.worker_threads, srv->disk_model().disks}));
+      auto front = std::make_unique<net::ReactorServer>(*reactors_, handler,
+                                                        front_opts, pool);
       front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
       if (auto st = front->listen(0); !st.is_ok()) return st;
       addresses_.push_back(ServerAddress{"127.0.0.1", front->port()});
@@ -917,11 +920,7 @@ core::Status TcpDeployment::start() {
           std::max(1, options_.worker_threads), /*elastic=*/true));
       core::ThreadPool* peer_pool = peer_pools_.back().get();
       auto peer_front = std::make_unique<net::ReactorServer>(
-          *reactors_,
-          [srv](net::Message&& msg, std::uint64_t conn_id) {
-            return srv->handle_request(std::move(msg), conn_id);
-          },
-          ropts, peer_pool);
+          *reactors_, handler, ropts, peer_pool);
       if (auto st = peer_front->listen(0); !st.is_ok()) return st;
       net::ReactorServer* front_raw = front.get();
       server_collectors_.push_back(srv->metrics_registry().add_collector(

@@ -167,9 +167,10 @@ struct TcpDeploymentOptions {
   // 0 -> one event loop per core (capped in ReactorPool).
   int reactor_loops = 0;
   // Handler offload threads per block server (reactor mode).  Block-server
-  // handlers may block (modelled disk sleeps, chain forwarding to peers),
-  // so they never run on the event loops; per-server pools keep an A->B
-  // forward from competing with B's own inbound work.
+  // handlers may block (chain forwarding to peers), so they never run on
+  // the event loops; per-server pools keep an A->B forward from competing
+  // with B's own inbound work.  Modelled disk reads are not handler time:
+  // their replies wait on loop timers.
   int worker_threads = 4;
   // Outbound connects (clients and server-to-server peer links) fail with
   // kDeadlineExceeded after this long instead of hanging on a dead or

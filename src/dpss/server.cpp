@@ -10,14 +10,8 @@
 
 namespace visapult::dpss {
 
-double DiskModel::block_service_seconds(std::size_t block_bytes,
-                                        int concurrent) const {
-  const double base =
-      seek_seconds + static_cast<double>(block_bytes) / disk_bytes_per_sec;
-  // Queueing factor: with more outstanding requests than spindles, each
-  // request waits its turn.
-  const double q = std::max(1.0, static_cast<double>(concurrent) / disks);
-  return base * q;
+double DiskModel::block_service_seconds(std::size_t block_bytes) const {
+  return seek_seconds + static_cast<double>(block_bytes) / disk_bytes_per_sec;
 }
 
 double DiskModel::streaming_bytes_per_sec(std::size_t block_bytes) const {
@@ -38,6 +32,7 @@ BlockServer::BlockServer(std::string name, DiskModel disk, bool throttle,
       in_flight_(registry_.gauge("dpss_server_in_flight")),
       read_seconds_(registry_.histogram("dpss_server_read_seconds")),
       write_seconds_(registry_.histogram("dpss_server_write_seconds")),
+      spindle_free_at_(static_cast<std::size_t>(std::max(1, disk.disks)), 0.0),
       cache_config_(cache_config) {
   // The memory tier's counters surface in the same exposition.
   registry_.add_collector([this](std::vector<obs::Sample>& out) {
@@ -91,16 +86,12 @@ BlockServer::BlockServer(std::string name, DiskModel disk, bool throttle,
     cc.tinylfu_admission = cache_config_.tinylfu_admission;
     cache_ = std::make_unique<cache::BlockCache>(cc);
     if (cache_config_.prefetch) {
-      if (cache_config_.prefetch_threads > 0) {
-        prefetch_pool_ =
-            std::make_unique<core::ThreadPool>(cache_config_.prefetch_threads);
-      }
       prefetcher_ = std::make_unique<cache::Prefetcher>(
           cache_config_.prefetch_config,
           [this](const std::string& dataset, std::uint64_t block) {
             prefetch_fill(dataset, block);
           },
-          prefetch_pool_.get(), &cache_->counters());
+          /*pool=*/nullptr, &cache_->counters());
       // Only predict blocks this server actually stores (its stripe of the
       // dataset) and that are not already resident at their current
       // generation.
@@ -291,21 +282,46 @@ double BlockServer::modeled_disk_seconds() const {
   return static_cast<double>(modeled_disk_micros_.load()) * 1e-6;
 }
 
-double BlockServer::charge_disk(std::size_t block_bytes, int concurrent) {
+BlockServer::DiskRead BlockServer::start_disk_read(const std::string& dataset,
+                                                   std::uint64_t block,
+                                                   std::size_t bytes,
+                                                   double now) {
   OBS_STAGE("serv.disk");
-  const double service = disk_.block_service_seconds(block_bytes, concurrent);
+  const double service = disk_.block_service_seconds(bytes);
+  std::lock_guard lk(disk_mu_);
+  for (auto it = disk_reads_.begin(); it != disk_reads_.end();) {
+    it = it->second <= now ? disk_reads_.erase(it) : std::next(it);
+  }
+  const auto key = std::make_pair(dataset, block);
+  if (auto it = disk_reads_.find(key); it != disk_reads_.end()) {
+    read_joins_.inc();
+    return DiskRead{it->second, 0.0, /*joined=*/true};
+  }
   modeled_disk_micros_.fetch_add(static_cast<std::uint64_t>(service * 1e6));
-  if (throttle_) clock_->sleep_for(service);
-  return service;
+  if (!throttle_) return DiskRead{now};
+  double& free_at =
+      *std::min_element(spindle_free_at_.begin(), spindle_free_at_.end());
+  const double start = std::max(now, free_at);
+  free_at = start + service;
+  disk_reads_.emplace(key, free_at);
+  return DiskRead{free_at, start - now};
+}
+
+double BlockServer::pending_disk_read(const std::string& dataset,
+                                      std::uint64_t block, double now) {
+  std::lock_guard lk(disk_mu_);
+  const auto it = disk_reads_.find(std::make_pair(dataset, block));
+  if (it == disk_reads_.end() || it->second <= now) return 0.0;
+  read_joins_.inc();
+  return it->second;
 }
 
 core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
-    const std::string& dataset, std::uint64_t block, int concurrent,
-    std::uint64_t conn_id, bool* cache_hit, std::uint64_t* generation) {
+    const std::string& dataset, std::uint64_t block, std::uint64_t conn_id,
+    bool* cache_hit, std::uint64_t* generation, DiskRead* wait) {
+  const double now = clock_->now();
+  *wait = DiskRead{now};
   if (cache_) {
-    // A block already on its way in from the disk model (a prefetch fill,
-    // or another connection's miss) is waited for, not read twice.
-    await_disk_read(dataset, block);
     const cache::BlockKey key{dataset, block,
                               block_generation(dataset, block)};
     // The pin keeps the block resident (not just alive) for the duration
@@ -314,6 +330,9 @@ core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
     if (pin) {
       *cache_hit = true;
       *generation = key.generation;
+      // A block still on its way in (a prefetch fill, or another
+      // connection's miss) is served when that read completes.
+      wait->ready = std::max(now, pending_disk_read(dataset, block, now));
       if (prefetcher_) {
         prefetcher_->on_access(dataset, block, UINT64_MAX, conn_id);
       }
@@ -324,14 +343,12 @@ core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
   auto stamped = stamped_block(dataset, block);
   if (!stamped.is_ok()) return stamped.status();
   *generation = stamped.value().generation;
-  const bool tracked = cache_ && begin_disk_read(dataset, block);
-  charge_disk(stamped.value().data.size(), concurrent);
-  if (cache_) {
+  *wait = start_disk_read(dataset, block, stamped.value().data.size(), now);
+  if (cache_ && !wait->joined) {
     cache_->insert(
         cache::BlockKey{dataset, block, stamped.value().generation},
         stamped.value().data);
   }
-  if (tracked) end_disk_read(dataset, block);
   if (prefetcher_) {
     prefetcher_->on_access(dataset, block, UINT64_MAX, conn_id);
   }
@@ -346,14 +363,14 @@ void BlockServer::prefetch_fill(const std::string& dataset,
   if (!stamped.is_ok()) return;
   const cache::BlockKey key{dataset, block, stamped.value().generation};
   if (cache_->contains(key)) return;
-  if (!begin_disk_read(dataset, block)) {
-    read_joins_.inc();  // a demand miss is already reading it in
-    return;
+  // A prefetch is a real disk read -- it takes a spindle like a demand
+  // miss -- but nobody waits for it unless a demand read of the block
+  // arrives before it is ready.
+  if (start_disk_read(dataset, block, stamped.value().data.size(),
+                      clock_->now())
+          .joined) {
+    return;  // a demand miss is already reading it in
   }
-  // A prefetch is a real disk read -- it pays the model's service time
-  // (concurrency 1: read-ahead streams sequentially off its spindle) --
-  // but it pays *off* the client's critical path.
-  charge_disk(stamped.value().data.size(), 1);
   if (logger_) {
     logger_->log(netlog::tags::kCachePrefetch,
                  static_cast<std::int64_t>(block), -1,
@@ -361,31 +378,6 @@ void BlockServer::prefetch_fill(const std::string& dataset,
                   {"BYTES", std::to_string(stamped.value().data.size())}});
   }
   cache_->insert(key, std::move(stamped).take().data, /*prefetched=*/true);
-  end_disk_read(dataset, block);
-}
-
-bool BlockServer::begin_disk_read(const std::string& dataset,
-                                  std::uint64_t block) {
-  std::lock_guard lk(disk_reads_mu_);
-  return disk_reads_.insert(std::make_pair(dataset, block)).second;
-}
-
-void BlockServer::end_disk_read(const std::string& dataset,
-                                std::uint64_t block) {
-  {
-    std::lock_guard lk(disk_reads_mu_);
-    disk_reads_.erase(std::make_pair(dataset, block));
-  }
-  disk_reads_cv_.notify_all();
-}
-
-void BlockServer::await_disk_read(const std::string& dataset,
-                                  std::uint64_t block) {
-  const auto read = std::make_pair(dataset, block);
-  std::unique_lock lk(disk_reads_mu_);
-  if (disk_reads_.count(read) == 0) return;
-  read_joins_.inc();
-  disk_reads_cv_.wait(lk, [&] { return disk_reads_.count(read) == 0; });
 }
 
 std::shared_ptr<BlockServer::PeerLink> BlockServer::peer_link(
@@ -628,7 +620,13 @@ void BlockServer::service_loop(net::StreamPtr stream) {
 
 net::Message BlockServer::handle_request(net::Message&& msg,
                                          std::uint64_t conn_id) {
-  const int concurrent = static_cast<int>(in_flight_.add(1));
+  net::Reply reply = dispatch(std::move(msg), conn_id);
+  if (reply.delay_seconds > 0) clock_->sleep_for(reply.delay_seconds);
+  return std::move(reply.message);
+}
+
+net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
+  in_flight_.add(1);
   requests_.inc();
 
   const obs::TraceContext trace{msg.trace_id, msg.span_id};
@@ -640,8 +638,11 @@ net::Message BlockServer::handle_request(net::Message&& msg,
                   {"TYPE", std::to_string(msg.type)}});
   }
   obs::Histogram* latency = nullptr;
-  // Attribution fields for the SERV_OUT lifeline event: how much of this
-  // span was modeled disk-queue wait, and how many payload bytes moved.
+  // When the reply may leave (a block read waits for its disk read), and
+  // the attribution fields for the SERV_OUT lifeline event: how much of
+  // this span was modeled disk-queue wait, and how many payload bytes
+  // moved.
+  double ready = t0;
   double queue_seconds = 0.0;
   std::uint64_t served_bytes = 0;
 
@@ -657,22 +658,17 @@ net::Message BlockServer::handle_request(net::Message&& msg,
         }
         bool cache_hit = false;
         std::uint64_t generation = 0;
+        DiskRead wait;
         auto data = read_block_serviced(req.value().dataset, req.value().block,
-                                        concurrent, conn_id, &cache_hit,
-                                        &generation);
+                                        conn_id, &cache_hit, &generation,
+                                        &wait);
         if (!data.is_ok()) {
           reply = encode_error_reply(data.status());
           break;
         }
         served_bytes = data.value().size();
-        if (!cache_hit) {
-          // The modeled service time in excess of an idle disk is queue
-          // wait; a cache hit never touched the disk model.
-          queue_seconds =
-              std::max(0.0, disk_.block_service_seconds(served_bytes,
-                                                        concurrent) -
-                                disk_.block_service_seconds(served_bytes, 1));
-        }
+        ready = wait.ready;
+        queue_seconds = wait.queue;
         if (logger_) {
           logger_->log("DPSS_BLOCK_READ", -1, -1,
                        {{"BYTES", std::to_string(data.value().size())},
@@ -751,7 +747,9 @@ net::Message BlockServer::handle_request(net::Message&& msg,
             core::invalid_argument("unknown request type at block server"));
         break;
     }
-  if (latency) latency->observe(std::max(0.0, clock_->now() - t0));
+  const double done = clock_->now();
+  const double delay = std::max(0.0, ready - done);
+  if (latency) latency->observe(std::max(0.0, done - t0) + delay);
   if (trace.sampled()) {
     // Replies travel under the request's trace so the client can match
     // them; the blocking pipe transport has no reactor to echo for us.
@@ -760,15 +758,17 @@ net::Message BlockServer::handle_request(net::Message&& msg,
     if (logger_) {
       char queue[32];
       std::snprintf(queue, sizeof queue, "%.9g", queue_seconds);
-      logger_->log(netlog::tags::kDpssServOut, -1, -1,
-                   {{"TRACE", obs::trace_hex(trace.trace_id)},
-                    {"SPAN", obs::trace_hex(trace.span_id)},
-                    {"QUEUE", queue},
-                    {"BYTES", std::to_string(served_bytes)}});
+      // Stamped when the reply leaves, so the span covers the deferral.
+      logger_->log_at(logger_->now() + delay, netlog::tags::kDpssServOut, -1,
+                      -1,
+                      {{"TRACE", obs::trace_hex(trace.trace_id)},
+                       {"SPAN", obs::trace_hex(trace.span_id)},
+                       {"QUEUE", queue},
+                       {"BYTES", std::to_string(served_bytes)}});
     }
   }
   in_flight_.add(-1);
-  return reply;
+  return net::Reply(std::move(reply), delay);
 }
 
 }  // namespace visapult::dpss

@@ -4,18 +4,25 @@
 // DPSS block servers, each with several disk controllers, and several disks
 // on each controller" (section 3.5).  A BlockServer stores logical blocks
 // for any number of datasets and services read/write requests through
-// handle_request(), which is thread-safe: the reactor front door runs the
-// block reads pipelined on one connection concurrently on a worker pool
+// dispatch(), which is thread-safe: the reactor front door runs the block
+// reads pipelined on one connection concurrently on a worker pool
 // (net/reactor_server.h), while the blocking serve() shim for in-memory
 // pipes runs one service thread per connection.
 //
 // The DiskModel captures the physical substrate we don't have: each server
 // owns `disks` independent spindles; a block read costs a seek plus
-// transfer, and concurrent requests are spread across spindles.  The model
-// is used two ways: (1) the virtual-time simulator asks it for service
-// times when replaying paper-scale campaigns; (2) optionally, a live server
-// can sleep for the modelled duration ("throttle mode") so real-transport
-// deployments show DPSS-like scaling.
+// transfer.  The model is used two ways: (1) the virtual-time simulator
+// asks it for service times when replaying paper-scale campaigns; (2)
+// optionally, a live server makes each block read from its disks take the
+// modelled time ("throttle mode") so real-transport deployments show
+// DPSS-like scaling.  In throttle mode the server keeps a schedule of its
+// spindles -- the time each one next falls free, on the server clock --
+// and nothing sleeps: a miss or a prefetch fill takes the earliest-free
+// spindle and its block is ready at max(now, free) + seek + transfer.
+// dispatch() returns the reply with the delay until that ready time, which
+// the reactor front door waits out on a loop timer; the blocking
+// handle_request() waits it out on the server clock.  The wait for a busy
+// spindle is reported as the request's queue time.
 //
 // In front of the modelled disks sits the memory tier that makes the DPSS a
 // *cache* (the paper's own term for it): a cache::BlockCache services warm
@@ -33,12 +40,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,7 +54,6 @@
 #include "core/clock.h"
 #include "core/rng.h"
 #include "core/status.h"
-#include "core/thread_pool.h"
 #include "dpss/protocol.h"
 #include "net/stream.h"
 #include "netlog/logger.h"
@@ -63,9 +67,8 @@ struct DiskModel {
   double seek_seconds = 0.008;         // avg seek+rotation per request
   double disk_bytes_per_sec = 12e6;    // per-spindle media rate (ca. 2000)
 
-  // Expected service time for one block read when `concurrent` requests are
-  // in flight at this server: requests beyond the spindle count queue.
-  double block_service_seconds(std::size_t block_bytes, int concurrent = 1) const;
+  // Service time of one block read on one spindle: seek plus transfer.
+  double block_service_seconds(std::size_t block_bytes) const;
 
   // Aggregate streaming bandwidth of the server (all spindles busy,
   // seek amortised over a block).
@@ -81,9 +84,10 @@ struct ServerCacheConfig {
   // TinyLFU admission gate: scans cannot flush the hot set (admission.h).
   bool tinylfu_admission = false;
   // Stripe-aware read-ahead from the modelled disks into the memory tier.
+  // Fills run inline on the thread serving the demand read that predicted
+  // them: they take spindles on the schedule but never wait for them.
   bool prefetch = true;
   cache::PrefetchConfig prefetch_config;
-  int prefetch_threads = 1;
 };
 
 class BlockServer {
@@ -157,11 +161,16 @@ class BlockServer {
 
   // One request in, one reply out -- the dispatch shared by the blocking
   // service loop and the reactor-backed transport, so both behave
-  // identically by construction.  `conn_id` identifies the client
-  // connection (allocate_conn_id()) for the per-connection stride
-  // detector.  Thread-safe.
+  // identically by construction.  Never sleeps: the reply carries the
+  // delay until the modelled disk read it waits for completes (0 unless
+  // throttled).  `conn_id` identifies the client connection
+  // (allocate_conn_id()) for the per-connection stride detector.
+  // Thread-safe.
+  net::Reply dispatch(net::Message&& msg, std::uint64_t conn_id);
+  // dispatch(), then wait out the reply's delay on the server clock: the
+  // blocking callers (the serve() shim and tests driving requests by hand).
   net::Message handle_request(net::Message&& msg, std::uint64_t conn_id);
-  // Connection ids for callers driving handle_request() directly.
+  // Connection ids for callers driving requests by hand.
   std::uint64_t allocate_conn_id() { return next_conn_id_.fetch_add(1) + 1; }
 
   // Per-request read timeouts the transport observed on this server's
@@ -171,10 +180,11 @@ class BlockServer {
 
   // Number of requests served (for load-balance verification).
   std::uint64_t requests_served() const { return requests_.value(); }
-  // Block reads that found the same block already being read in from the
+  // Block reads that found the same block still being read in from the
   // disk model and used that read instead of charging the model again: a
-  // demand miss waiting for a prefetch fill (or another demand miss), or a
-  // prefetch fill skipping a block a demand miss is loading.
+  // demand read replying at the ready time of a prefetch fill (or of
+  // another demand miss), or a prefetch fill skipping a block a demand
+  // miss is loading.
   std::uint64_t read_joins() const { return read_joins_.value(); }
 
   // This server's metrics plane: the request counters above plus the
@@ -196,12 +206,14 @@ class BlockServer {
   // Empty the memory tier and forget learned access patterns (a cold
   // restart; the block store itself is unaffected).
   void drop_cache();
-  // DiskModel service time charged so far, in seconds: every miss and
-  // prefetch fill accumulates here, warm hits never do.  This is how tests
-  // and benches observe "warm reads bypass the disk" without wall-clock
+  // DiskModel service time charged so far, in seconds: seek plus transfer
+  // once per disk read (every miss and prefetch fill), never the wait for
+  // a busy spindle, and never for warm hits.  This is how tests and
+  // benches observe "warm reads bypass the disk" without wall-clock
   // timing.
   double modeled_disk_seconds() const;
-  // Clock used for throttle-mode sleeps; tests inject a virtual clock.
+  // Clock the spindle schedule runs on and handle_request() waits on;
+  // tests inject a virtual clock.  Set before traffic starts.
   void set_clock(core::Clock* clock) { clock_ = clock; }
 
  private:
@@ -222,28 +234,34 @@ class BlockServer {
     std::uint64_t failures = 0;
   };
 
+  // When a block read's bytes are in memory, on the server clock.
+  struct DiskRead {
+    double ready = 0.0;
+    double queue = 0.0;   // of the wait, seconds spent for a busy spindle
+    bool joined = false;  // rides on a read of the block already under way
+  };
+
   void service_loop(net::StreamPtr stream);
-  // Cache-tier read: warm hits skip the DiskModel entirely; misses charge
-  // the model (sleeping in throttle mode), admit-on-fill, and notify the
+  // Cache-tier read: warm hits skip the DiskModel entirely; misses read
+  // the block in from the modelled disks, admit-on-fill, and notify the
   // prefetcher.  `conn_id` identifies the client connection so concurrent
   // PEs' interleaved strides are detected independently.  `generation`
-  // receives the served bytes' stamp.
+  // receives the served bytes' stamp, `wait` when they are ready.
   core::Result<std::vector<std::uint8_t>> read_block_serviced(
-      const std::string& dataset, std::uint64_t block, int concurrent,
-      std::uint64_t conn_id, bool* cache_hit, std::uint64_t* generation);
+      const std::string& dataset, std::uint64_t block, std::uint64_t conn_id,
+      bool* cache_hit, std::uint64_t* generation, DiskRead* wait);
   // Prefetch path: stream one predicted block from the modelled disks into
   // the memory tier.
   void prefetch_fill(const std::string& dataset, std::uint64_t block);
-  // In-progress disk reads, keyed by (dataset, block), from the moment a
-  // read starts charging the disk model until its bytes are admitted to
-  // the memory tier.  begin returns false when the block is already being
-  // read.  await blocks while a read of the block is in progress, so the
-  // demand lookup that follows hits the filled entry; a prefetch that is
-  // queued but not yet started is not waited for.
-  bool begin_disk_read(const std::string& dataset, std::uint64_t block);
-  void end_disk_read(const std::string& dataset, std::uint64_t block);
-  void await_disk_read(const std::string& dataset, std::uint64_t block);
-  double charge_disk(std::size_t block_bytes, int concurrent);
+  // The spindle schedule.  start_disk_read charges the model for one read
+  // of `bytes` and, in throttle mode, books it on the earliest-free
+  // spindle -- unless a read of the block is still under way, which it
+  // joins instead.  pending_disk_read returns the ready time of a read of
+  // the block still under way at `now` (joining it), or 0 when none is.
+  DiskRead start_disk_read(const std::string& dataset, std::uint64_t block,
+                           std::size_t bytes, double now);
+  double pending_disk_read(const std::string& dataset, std::uint64_t block,
+                           double now);
   // Store + re-key the memory tier under mu_.  generation == 0 allocates
   // current + 1 when `bump` (ingest writes), else preserves the current
   // stamp (legacy put_block).  Returns the generation the block now
@@ -308,15 +326,17 @@ class BlockServer {
   std::shared_ptr<netlog::NetLogger> logger_;
   core::Clock* clock_ = &core::global_real_clock();
   std::atomic<std::uint64_t> modeled_disk_micros_{0};
-  std::mutex disk_reads_mu_;
-  std::condition_variable disk_reads_cv_;
-  std::set<std::pair<std::string, std::uint64_t>> disk_reads_;
+  // Guards the spindle schedule: when each spindle next falls free, and
+  // the ready time of every disk read still under way, by (dataset,
+  // block).  Reads leave the map once their ready time has passed.
+  std::mutex disk_mu_;
+  std::vector<double> spindle_free_at_;
+  std::map<std::pair<std::string, std::uint64_t>, double> disk_reads_;
   ServerCacheConfig cache_config_;
   // Teardown order matters: the prefetcher drains its in-flight fills
-  // (which touch cache_ and store_) before the cache and pool go away, so
-  // it is declared last.
+  // (which touch cache_ and store_) before the cache goes away, so it is
+  // declared last.
   std::unique_ptr<cache::BlockCache> cache_;
-  std::unique_ptr<core::ThreadPool> prefetch_pool_;
   std::unique_ptr<cache::Prefetcher> prefetcher_;
 };
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -35,6 +36,17 @@ struct Message {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   std::vector<std::uint8_t> payload;
+};
+
+// A request handler's answer: the reply message plus how long after the
+// handler returns it may leave (a block still arriving from a modelled
+// disk).  Converts implicitly from a Message, which leaves at once.
+struct Reply {
+  Reply(Message m, double delay = 0.0)  // NOLINT(google-explicit-constructor)
+      : message(std::move(m)), delay_seconds(delay) {}
+
+  Message message;
+  double delay_seconds = 0.0;
 };
 
 // Blocking send/recv of a framed message over any ByteStream.

@@ -4,6 +4,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -36,6 +37,24 @@ std::uint32_t from_epoll(std::uint32_t e) {
     events |= Reactor::kError | Reactor::kReadable;
   }
   return events;
+}
+
+// epoll_wait with a nanosecond timeout (epoll_pwait2), falling back to a
+// millisecond timeout rounded up on kernels older than 5.11.
+int wait_events(int epoll_fd, epoll_event* events, int max_events,
+                double timeout_seconds) {
+  static std::atomic<bool> have_pwait2{true};
+  if (have_pwait2.load(std::memory_order_relaxed)) {
+    const auto ns = static_cast<long long>(std::ceil(timeout_seconds * 1e9));
+    timespec ts{};
+    ts.tv_sec = static_cast<time_t>(ns / 1000000000);
+    ts.tv_nsec = static_cast<long>(ns % 1000000000);
+    const int n = ::epoll_pwait2(epoll_fd, events, max_events, &ts, nullptr);
+    if (n >= 0 || errno != ENOSYS) return n;
+    have_pwait2.store(false, std::memory_order_relaxed);
+  }
+  return ::epoll_wait(epoll_fd, events, max_events,
+                      static_cast<int>(std::ceil(timeout_seconds * 1e3)));
 }
 
 }  // namespace
@@ -182,19 +201,14 @@ void Reactor::run() {
   epoll_event events[kMaxEvents];
   double busy_since = now();
   while (!stopping_.load(std::memory_order_acquire)) {
-    // Sleep until the next timer deadline (epoll granularity: ms), a
-    // registered fd turns ready, or a post() wakes the eventfd.
-    int timeout_ms = 1000;
+    // Sleep until the next timer deadline, a registered fd turns ready, or
+    // a post() wakes the eventfd; at most a second.
+    double timeout = 1.0;
     const double next = wheel_.next_deadline();
-    if (std::isfinite(next)) {
-      const double delta = next - now();
-      timeout_ms = delta <= 0
-                       ? 0
-                       : static_cast<int>(std::min(1000.0, delta * 1e3) + 1);
-    }
+    if (std::isfinite(next)) timeout = std::clamp(next - now(), 0.0, 1.0);
     {
       std::lock_guard lk(tasks_mu_);
-      if (!tasks_.empty()) timeout_ms = 0;
+      if (!tasks_.empty()) timeout = 0.0;
     }
 
     // USE split: the block inside epoll_wait is the loop's idle time;
@@ -205,7 +219,7 @@ void Reactor::run() {
     const double wait_start = now();
     phase_started_.store(wait_start, std::memory_order_relaxed);
     in_wait_.store(true, std::memory_order_release);
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    const int n = wait_events(epoll_fd_, events, kMaxEvents, timeout);
     const double wait_end = now();
     in_wait_.store(false, std::memory_order_relaxed);
     phase_started_.store(wait_end, std::memory_order_release);

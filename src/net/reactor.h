@@ -10,6 +10,13 @@
 // deals connections out round-robin -- the front door that absorbs
 // thousands of sockets where thread-per-connection fell over.
 //
+// Timer precision: the loop's wheel ticks every 50 us and the loop sleeps
+// in epoll_pwait2 with a nanosecond timeout, so a timer fires no earlier
+// than its deadline and, on an idle loop, typically within a tick or two
+// after it.  Sub-millisecond timers (deferred replies waiting out a
+// modelled disk read) rely on this; epoll_wait's millisecond timeout would
+// add up to a millisecond to each.
+//
 // Threading contract:
 //   * post(), schedule_after(), cancel_timer(), stats() -- any thread.
 //   * add_fd()/mod_fd()/del_fd() -- loop thread only (post() a task to get
@@ -132,7 +139,7 @@ class Reactor {
   // epoll_wait batch is recognised as stale and dropped.
   std::map<int, FdEntry> fds_;
   std::uint64_t next_gen_ = 1;
-  TimerWheel wheel_;
+  TimerWheel wheel_{/*tick_seconds=*/50e-6, /*buckets=*/1024};
   // Token -> wheel id, loop-thread-only; tokens are what schedule_after
   // returns so callers on any thread get an id synchronously.
   std::map<TimerWheel::TimerId, TimerWheel::TimerId> timer_tokens_;

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -64,8 +65,8 @@ struct ReactorServer::State {
   State(ReactorPool& p, Handler h, ReactorServerOptions o,
         core::ThreadPool* w)
       : pool(p), handler(std::move(h)), opts(std::move(o)), workers(w),
-        window(w && opts.overlappable ? static_cast<std::uint64_t>(w->size())
-                                      : 1) {}
+        window(opts.overlappable ? std::max<std::uint64_t>(1, opts.window)
+                                 : 1) {}
 };
 
 // One accepted connection.  Every field is owned by `loop`'s thread; the
@@ -83,11 +84,16 @@ struct Conn : std::enable_shared_from_this<Conn> {
   std::size_t wq_bytes = 0;
   // The dispatch window, in request sequence numbers: [reply_seq,
   // next_seq) are dispatched but not yet in wq, either still in the
-  // handler or finished early and held until every earlier reply is out.
-  // Bounding the span (not just the running handlers) bounds `held`.
+  // handler, deferred until their timer fires, or held until every earlier
+  // reply is out.  Bounding the span (not just the running handlers)
+  // bounds `held`.
   std::uint64_t next_seq = 0;   // stamped on the next dispatched request
   std::uint64_t reply_seq = 0;  // the next reply to go into wq
-  std::map<std::uint64_t, Message> held;
+  struct Held {
+    Message reply;
+    TimerWheel::TimerId timer = 0;  // armed while the reply is deferred
+  };
+  std::map<std::uint64_t, Held> held;
   bool barrier = false;  // the window holds an unmarked request (alone)
   // A complete request sits in rbuf that the window cannot take yet.
   bool parked = false;
@@ -269,21 +275,26 @@ struct Conn : std::enable_shared_from_this<Conn> {
     auto run = [self, seq, msg = std::move(msg)]() mutable {
       const std::uint64_t req_trace = msg.trace_id;
       const std::uint64_t req_span = msg.span_id;
-      Message reply = self->state->handler(std::move(msg), self->id);
+      Reply reply = self->state->handler(std::move(msg), self->id);
       // Replies travel under the request's trace unless the handler
       // stamped its own context.
-      if (reply.trace_id == 0) {
-        reply.trace_id = req_trace;
-        reply.span_id = req_span;
+      if (reply.message.trace_id == 0) {
+        reply.message.trace_id = req_trace;
+        reply.message.span_id = req_span;
       }
+      // The delay runs from now, not from when the loop gets to it.
+      const double due = reply.delay_seconds > 0
+                             ? self->loop->now() + reply.delay_seconds
+                             : 0.0;
       {
         std::lock_guard lk(self->state->mu);
         if (--self->state->in_flight == 0) {
           self->state->drained_cv.notify_all();
         }
       }
-      auto finish = [self, seq, reply = std::move(reply)]() mutable {
-        self->complete(seq, std::move(reply));
+      auto finish = [self, seq, due,
+                     reply = std::move(reply.message)]() mutable {
+        self->complete(seq, std::move(reply), due);
       };
       if (self->loop->on_loop_thread()) {
         finish();  // inline handler: already on the loop
@@ -301,13 +312,32 @@ struct Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
-  // Reply `seq` produced: release it and every held successor into the
-  // bounded write queue in request order, then refill the window.
-  void complete(std::uint64_t seq, Message&& reply) {
+  // Reply `seq` produced, to leave no earlier than loop time `due` (0: at
+  // once).  A deferred reply waits in `held` for its timer; otherwise
+  // release what is ready.
+  void complete(std::uint64_t seq, Message&& reply, double due) {
     if (closed) return;
-    held.emplace(seq, std::move(reply));
-    while (!held.empty() && held.begin()->first == reply_seq) {
-      enqueue(std::move(held.begin()->second));
+    Held& slot = held[seq];
+    slot.reply = std::move(reply);
+    const double wait = due - loop->now();
+    if (wait > 0) {
+      auto self = shared_from_this();
+      slot.timer = loop->schedule_after(wait, [self, seq] {
+        if (self->closed) return;
+        self->held[seq].timer = 0;
+        self->release();
+      });
+      return;
+    }
+    release();
+  }
+
+  // Move the head of `held` and every ready successor into the bounded
+  // write queue in request order, then refill the window.
+  void release() {
+    while (!held.empty() && held.begin()->first == reply_seq &&
+           held.begin()->second.timer == 0) {
+      enqueue(std::move(held.begin()->second.reply));
       held.erase(held.begin());
       ++reply_seq;
     }
@@ -411,6 +441,9 @@ struct Conn : std::enable_shared_from_this<Conn> {
     add_queued(-static_cast<std::ptrdiff_t>(wq_bytes));
     wq.clear();
     wq_bytes = 0;
+    for (const auto& [seq, slot] : held) {
+      if (slot.timer != 0) loop->cancel_timer(slot.timer);
+    }
     held.clear();
     std::lock_guard lk(state->mu);
     ++state->closed;

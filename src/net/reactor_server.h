@@ -8,17 +8,20 @@
 //   * reads are readiness-driven and parsed incrementally; a connection
 //     costs a buffer, not a thread stack;
 //   * each connection keeps a small dispatch window: consecutive requests
-//     the owner marks independent (ReactorServerOptions::overlappable)
-//     run at the same time, up to the worker pool's thread count; any
-//     other request is a barrier that waits for the window to drain and
-//     then runs alone.  Finished replies wait in a per-connection sequence
-//     buffer and leave in request order, so the bytes on the wire are
-//     those of strictly serial dispatch (the pipelined DpssFile fetch
-//     paths match replies positionally).  Inline servers (no worker pool)
-//     stay strictly serial; different connections proceed independently;
+//     the owner marks independent (ReactorServerOptions::overlappable) may
+//     be dispatched and unwritten at the same time, up to the window the
+//     owner sets (ReactorServerOptions::window); any other request is a
+//     barrier that waits for the window to drain and then runs alone.
+//     Finished replies wait in a per-connection sequence buffer and leave
+//     in request order, so the bytes on the wire are those of strictly
+//     serial dispatch (the pipelined DpssFile fetch paths match replies
+//     positionally).  Different connections proceed independently;
+//   * a handler may defer its reply (Reply::delay_seconds, e.g. a block
+//     still arriving from a modelled disk): the reply is held in the
+//     sequence buffer until a loop timer fires, so the wait holds no
+//     thread, and a barrier still waits for every deferred predecessor;
 //   * handlers optionally run on a worker ThreadPool so a handler that
-//     blocks (modelled disk sleeps, chain forwarding to a peer) never
-//     stalls an event loop;
+//     blocks (chain forwarding to a peer) never stalls an event loop;
 //   * replies land in a BOUNDED per-connection write queue -- a peer that
 //     stops reading gets its connection closed at the cap (back-pressure)
 //     instead of growing an unbounded thread stack or heap;
@@ -27,7 +30,8 @@
 //
 // The blocking BlockServer::serve(StreamPtr)/Master::serve(StreamPtr) API
 // survives as a shim for in-memory pipe deployments; both paths feed the
-// same handle_request dispatch, so behaviour is identical by construction.
+// same request dispatch, so behaviour is identical by construction (the
+// shim waits out a deferred reply on the server's clock instead).
 #pragma once
 
 #include <cstdint>
@@ -55,6 +59,11 @@ struct ReactorServerOptions {
   // one connection (e.g. block reads), so consecutive ones may overlap.
   // Empty: every request is a barrier (strictly serial dispatch).
   std::function<bool(std::uint32_t type)> overlappable;
+  // Most overlappable requests one connection may have dispatched and not
+  // yet written, deferred replies included (1 = strictly serial).  The
+  // owner sizes it to what can usefully overlap: worker threads for
+  // handlers that block, modelled disks for replies that are deferred.
+  std::size_t window = 1;
 };
 
 struct ReactorServerStats {
@@ -83,20 +92,19 @@ struct ReactorServerStats {
 
 class ReactorServer {
  public:
-  // One request in, one reply out.  Requests marked overlappable may be in
-  // the handler concurrently on one connection (from different worker
+  // One request in, one reply out, optionally deferred (a Message converts
+  // to a Reply that leaves at once).  Requests marked overlappable may be
+  // in the handler concurrently on one connection (from different worker
   // threads), so the handler must be thread-safe for those types; every
-  // other request runs alone and after all earlier requests on its
-  // connection have returned.  `conn_id` is stable for a connection's
+  // other request runs alone and after all earlier replies on its
+  // connection have been written.  `conn_id` is stable for a connection's
   // lifetime and unique within this server (feeds e.g. the block server's
   // per-connection stride detector).
-  using Handler = std::function<Message(Message&&, std::uint64_t conn_id)>;
+  using Handler = std::function<Reply(Message&&, std::uint64_t conn_id)>;
 
   // `workers` null runs handlers inline on the event loop (only for
   // handlers that never block); non-null offloads them, keeping loops pure
-  // I/O, and sizes each connection's dispatch window to the pool's thread
-  // count at construction.  The pool and the pool of reactors must outlive
-  // this server.
+  // I/O.  The pool and the pool of reactors must outlive this server.
   ReactorServer(ReactorPool& pool, Handler handler,
                 ReactorServerOptions options = {},
                 core::ThreadPool* workers = nullptr);

@@ -107,6 +107,8 @@ class NetLogger {
               int rank,
               std::vector<std::pair<std::string, std::string>> fields = {});
 
+  // The stamping clock's current time (a base for log_at()).
+  core::TimePoint now() const { return clock_->now(); }
   const std::string& host() const { return host_; }
   const std::string& program() const { return program_; }
 

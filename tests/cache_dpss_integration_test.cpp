@@ -139,7 +139,7 @@ TEST(ServerCacheTest, ThrottledWarmReadsDoNotSleep) {
   const double cold_slept = vclock.total_slept();
   EXPECT_GT(cold_slept, 0.0);
   // Eight sequential misses, each >= the uncontended service time.
-  EXPECT_GE(cold_slept, 8 * disk.block_service_seconds(4096, 1) - 1e-9);
+  EXPECT_GE(cold_slept, 8 * disk.block_service_seconds(4096) - 1e-9);
 
   for (std::uint64_t b = 0; b < 8; ++b) read_block(b);
   EXPECT_DOUBLE_EQ(vclock.total_slept(), cold_slept)
@@ -149,12 +149,11 @@ TEST(ServerCacheTest, ThrottledWarmReadsDoNotSleep) {
   server.shutdown();
 }
 
-// A sequential client run warms the server ahead of the demand stream:
-// prefetch_threads = 0 makes the fills inline and deterministic.
+// A sequential client run warms the server ahead of the demand stream
+// (fills run inline on the serving thread, so the run is deterministic).
 TEST(ServerCacheTest, PrefetchWarmsSequentialRun) {
   ServerCacheConfig cc;
   cc.prefetch = true;
-  cc.prefetch_threads = 0;  // inline fills: deterministic
   cc.prefetch_config.min_run = 3;
   cc.prefetch_config.depth = 4;
   BlockServer server("prefetching", DiskModel{}, /*throttle=*/false, cc);

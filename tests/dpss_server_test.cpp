@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <future>
-#include <mutex>
 #include <thread>
 
 #include "dpss/protocol.h"
@@ -14,57 +11,29 @@
 namespace visapult::dpss {
 namespace {
 
-// Real-time clock whose sleep_for() returns at once on the constructing
-// thread but holds every other thread (prefetch workers, helper threads)
-// until release(), counting the sleeps it is holding.  Lets a test freeze
-// a throttled disk read mid-sleep.
-class GatedClock final : public core::Clock {
- public:
-  core::TimePoint now() const override {
-    return core::global_real_clock().now();
-  }
-  void sleep_for(double) override {
-    if (std::this_thread::get_id() == owner_) return;
-    std::unique_lock lk(mu_);
-    ++held_;
-    cv_.wait(lk, [&] { return open_; });
-  }
-  void release() {
-    {
-      std::lock_guard lk(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  int held() const {
-    std::lock_guard lk(mu_);
-    return held_;
-  }
-
- private:
-  const std::thread::id owner_ = std::this_thread::get_id();
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-  int held_ = 0;
-};
-
-// A prefetcher that reads one block ahead on a single worker.
+// A prefetcher that reads one block ahead.
 ServerCacheConfig one_ahead_prefetch() {
   ServerCacheConfig cache;
   cache.prefetch_config.depth = 1;
-  cache.prefetch_threads = 1;
   return cache;
 }
 
-// Blocks 0..3 of "ds" (block b filled with b + 1) on the modelled disks
-// only, memory tier empty.  The prefetcher has no block 4 to predict.
-void store_cold_blocks(BlockServer& server) {
-  for (std::uint64_t b = 0; b < 4; ++b) {
+ServerCacheConfig no_prefetch() {
+  ServerCacheConfig cache;
+  cache.prefetch = false;
+  return cache;
+}
+
+constexpr std::size_t kBlockBytes = 4096;
+
+// Blocks 0..count-1 of "ds" (block b filled with b + 1) on the modelled
+// disks only, memory tier empty.
+void store_cold_blocks(BlockServer& server, std::uint64_t count = 4) {
+  for (std::uint64_t b = 0; b < count; ++b) {
     ASSERT_TRUE(server
                     .put_block("ds", b,
                                std::vector<std::uint8_t>(
-                                   4096, static_cast<std::uint8_t>(b + 1)))
+                                   kBlockBytes, static_cast<std::uint8_t>(b + 1)))
                     .is_ok());
   }
   server.drop_cache();
@@ -78,16 +47,6 @@ std::uint8_t first_byte(const net::Message& reply) {
   auto decoded = decode_block_read_reply(reply);
   if (!decoded.is_ok() || decoded.value().data.empty()) return 0;
   return decoded.value().data[0];
-}
-
-TEST(DiskModel, ServiceTimeGrowsWithQueueing) {
-  DiskModel disk;
-  disk.disks = 4;
-  const double t1 = disk.block_service_seconds(65536, 1);
-  const double t4 = disk.block_service_seconds(65536, 4);
-  const double t8 = disk.block_service_seconds(65536, 8);
-  EXPECT_DOUBLE_EQ(t1, t4);  // within spindle count: no queueing
-  EXPECT_NEAR(t8, 2.0 * t4, 1e-9);
 }
 
 TEST(DiskModel, StreamingScalesWithSpindles) {
@@ -226,68 +185,129 @@ TEST(BlockServer, ConcurrentConnections) {
   server.shutdown();
 }
 
-TEST(BlockServer, DemandMissJoinsInProgressPrefetchFill) {
-  GatedClock clock;
+// ---- the spindle schedule (virtual clock, no threads) ----
+
+TEST(SpindleSchedule, MissesBeyondTheSpindleCountQueue) {
+  core::VirtualClock clock;
+  const DiskModel disk;  // 4 spindles
+  BlockServer server("s0", disk, /*throttle=*/true, no_prefetch());
+  server.set_clock(&clock);
+  store_cold_blocks(server, 8);
+  const double b = disk.block_service_seconds(kBlockBytes);
+
+  // Eight misses at one instant: the first four take a spindle each, the
+  // next four queue one service time behind them.
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    net::Reply reply =
+        server.dispatch(read_request(i), server.allocate_conn_id());
+    EXPECT_EQ(first_byte(reply.message), i + 1);
+    EXPECT_NEAR(reply.delay_seconds, i < 4 ? b : 2 * b, 1e-12) << "block " << i;
+  }
+  // Seek + transfer once per read; the queueing is not disk time.
+  EXPECT_NEAR(server.modeled_disk_seconds(), 8 * b, 1e-4);
+  EXPECT_EQ(clock.now(), 0.0);  // nothing slept
+  // The read latency histogram includes each reply's deferral.
+  EXPECT_NEAR(
+      server.metrics_registry().histogram("dpss_server_read_seconds").sum(),
+      4 * b + 4 * 2 * b, 1e-9);
+}
+
+TEST(SpindleSchedule, DemandReadRepliesAtThePendingFillsReadyTime) {
+  core::VirtualClock clock;
   const DiskModel disk;
   BlockServer server("s0", disk, /*throttle=*/true, one_ahead_prefetch());
   server.set_clock(&clock);
   store_cold_blocks(server);
-  const double per_block = disk.block_service_seconds(4096, 1);
+  const double b = disk.block_service_seconds(kBlockBytes);
 
-  // Demand reads of 0, 1, 2 on this thread (not held) confirm a stride-1
-  // run; the prefetcher then fills block 3 on its worker, where the clock
-  // holds it inside the disk sleep.
+  // Demand misses of 0, 1, 2 confirm a stride-1 run; the prefetcher fills
+  // block 3 inline, on the fourth spindle, ready at b.
   const std::uint64_t conn = server.allocate_conn_id();
-  for (std::uint64_t b = 0; b < 3; ++b) {
-    ASSERT_EQ(first_byte(server.handle_request(read_request(b), conn)), b + 1);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first_byte(server.dispatch(read_request(i), conn).message), i + 1);
   }
-  ASSERT_TRUE(test_support::wait_until([&] { return clock.held() == 1; }));
+  EXPECT_EQ(server.cache_metrics().prefetch_issued, 1u);
 
-  // A demand read of block 3 arrives while its fill is still sleeping.
-  auto demand = std::async(std::launch::async, [&] {
-    return server.handle_request(read_request(3), conn);
-  });
-  EXPECT_TRUE(test_support::wait_until([&] { return server.read_joins() == 1; }));
-  clock.release();
-  EXPECT_EQ(first_byte(demand.get()), 4);
-  server.drop_cache();  // drains the prefetcher
-
-  // Block 3 cost the disk one service time (the fill), not two, and the
-  // demand read never slept.
-  EXPECT_NEAR(server.modeled_disk_seconds() - 3 * per_block, per_block, 1e-4);
-  EXPECT_EQ(clock.held(), 1);
+  // A demand read of block 3 while the fill is still coming in replies at
+  // the fill's ready time, without a second disk read.
+  clock.advance_by(b / 4);
+  net::Reply reply = server.dispatch(read_request(3), conn);
+  EXPECT_EQ(first_byte(reply.message), 4);
+  EXPECT_NEAR(reply.delay_seconds, b - b / 4, 1e-12);
+  EXPECT_EQ(server.read_joins(), 1u);
+  EXPECT_NEAR(server.modeled_disk_seconds(), 4 * b, 1e-4);
   EXPECT_EQ(server.cache_metrics().prefetch_hits, 1u);
 }
 
-TEST(BlockServer, PrefetchFillSkipsBlockADemandMissIsReading) {
-  GatedClock clock;
+TEST(SpindleSchedule, FillSkipsBlockADemandMissIsReading) {
+  core::VirtualClock clock;
   const DiskModel disk;
   BlockServer server("s0", disk, /*throttle=*/true, one_ahead_prefetch());
   server.set_clock(&clock);
   store_cold_blocks(server);
-  const double per_block = disk.block_service_seconds(4096, 1);
+  const double b = disk.block_service_seconds(kBlockBytes);
 
-  // One connection's demand miss on block 3 is held inside its disk sleep.
-  auto demand = std::async(std::launch::async, [&] {
-    return server.handle_request(read_request(3), server.allocate_conn_id());
-  });
-  // (EXPECT, not ASSERT, from here on: returning early would leave the
-  // held thread behind the closed gate.)
-  EXPECT_TRUE(test_support::wait_until([&] { return clock.held() == 1; }));
+  // One connection's demand miss on block 3 is under way...
+  net::Reply miss = server.dispatch(read_request(3), server.allocate_conn_id());
+  EXPECT_NEAR(miss.delay_seconds, b, 1e-12);
 
-  // Another connection's run 0, 1, 2 predicts block 3: the fill finds the
-  // block already being read and leaves it to the demand miss.
+  // ...when another connection's run 0, 1, 2 predicts block 3: the fill
+  // leaves it to the demand miss, so block 3 is read from disk once.
   const std::uint64_t conn = server.allocate_conn_id();
-  for (std::uint64_t b = 0; b < 3; ++b) {
-    EXPECT_EQ(first_byte(server.handle_request(read_request(b), conn)), b + 1);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first_byte(server.dispatch(read_request(i), conn).message), i + 1);
   }
-  EXPECT_TRUE(test_support::wait_until([&] { return server.read_joins() == 1; }));
-  clock.release();
-  EXPECT_EQ(first_byte(demand.get()), 4);
-  server.drop_cache();
+  EXPECT_EQ(first_byte(miss.message), 4);
+  EXPECT_NEAR(server.modeled_disk_seconds(), 4 * b, 1e-4);
+}
 
-  EXPECT_NEAR(server.modeled_disk_seconds(), 4 * per_block, 1e-4);
-  EXPECT_EQ(clock.held(), 1);
+TEST(SpindleSchedule, HitAfterTheReadCompletedLeavesAtOnce) {
+  core::VirtualClock clock;
+  const DiskModel disk;
+  BlockServer server("s0", disk, /*throttle=*/true, no_prefetch());
+  server.set_clock(&clock);
+  store_cold_blocks(server);
+  const double b = disk.block_service_seconds(kBlockBytes);
+
+  const std::uint64_t conn = server.allocate_conn_id();
+  EXPECT_NEAR(server.dispatch(read_request(0), conn).delay_seconds, b, 1e-12);
+  clock.advance_by(b);
+  net::Reply hit = server.dispatch(read_request(0), conn);
+  EXPECT_EQ(first_byte(hit.message), 1);
+  EXPECT_EQ(hit.delay_seconds, 0.0);
+  EXPECT_EQ(server.read_joins(), 0u);
+  EXPECT_EQ(server.cache_metrics().hits, 1u);
+}
+
+TEST(SpindleSchedule, UnthrottledServerNeverDefers) {
+  core::VirtualClock clock;
+  const DiskModel disk;
+  BlockServer server("s0", disk, /*throttle=*/false, no_prefetch());
+  server.set_clock(&clock);
+  store_cold_blocks(server, 8);
+  const double b = disk.block_service_seconds(kBlockBytes);
+
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(server.dispatch(read_request(i), server.allocate_conn_id())
+                  .delay_seconds,
+              0.0);
+  }
+  // The model is still charged: modelled time is observable unthrottled.
+  EXPECT_NEAR(server.modeled_disk_seconds(), 8 * b, 1e-4);
+}
+
+TEST(SpindleSchedule, BlockingCallerWaitsOutTheDelayOnTheServerClock) {
+  test_support::RecordingVirtualClock clock;
+  const DiskModel disk;
+  BlockServer server("s0", disk, /*throttle=*/true, no_prefetch());
+  server.set_clock(&clock);
+  store_cold_blocks(server);
+  const double b = disk.block_service_seconds(kBlockBytes);
+
+  EXPECT_EQ(first_byte(server.handle_request(read_request(2),
+                                             server.allocate_conn_id())),
+            3);
+  EXPECT_NEAR(clock.total_slept(), b, 1e-12);
 }
 
 TEST(BlockServer, ShutdownUnblocksServiceThreads) {

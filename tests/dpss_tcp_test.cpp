@@ -2,6 +2,7 @@
 // as the pipe tests, exercised through the kernel's network stack.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 
 #include "dpss/deployment.h"
@@ -72,9 +73,9 @@ TEST(DpssTcp, ConnectToDeadMasterPortFailsCleanly) {
   EXPECT_EQ(stream.status().code(), core::StatusCode::kUnavailable);
 }
 
-// Throttled disks with no memory tier: every block read sleeps in the disk
-// model, so block reads pipelined on one connection are in the handler
-// together.
+// Throttled disks with no memory tier: every block read waits for the disk
+// model, so block reads pipelined on one connection are in the dispatch
+// window together.
 std::unique_ptr<TcpDeployment> cold_deployment(int servers) {
   ServerCacheConfig no_cache;
   no_cache.enabled = false;
@@ -108,6 +109,54 @@ TEST(DpssTcp, MultiBlockReadOverlapsOnEachServerConnection) {
   ASSERT_EQ(n.value(), buf.size());
   EXPECT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
   EXPECT_GT(overlapped_requests(*deployment), 0u);
+  deployment->stop();
+}
+
+// Real time, but every sleep_for() is counted.
+class CountingClock final : public core::Clock {
+ public:
+  core::TimePoint now() const override {
+    return core::global_real_clock().now();
+  }
+  void sleep_for(double seconds) override {
+    sleeps_.fetch_add(1);
+    core::global_real_clock().sleep_for(seconds);
+  }
+  int sleeps() const { return sleeps_.load(); }
+
+ private:
+  std::atomic<int> sleeps_{0};
+};
+
+TEST(DpssTcp, ThrottledReadsHoldNoWorkerAsleep) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  auto deployment = cold_deployment(2);
+  CountingClock clock;
+  for (int i = 0; i < deployment->server_count(); ++i) {
+    deployment->server(i).set_clock(&clock);
+  }
+  ASSERT_TRUE(deployment->start().is_ok());
+  ASSERT_TRUE(deployment->ingest(desc, 8192).is_ok());
+  auto client = deployment->make_client();
+  ASSERT_TRUE(client.is_ok());
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok());
+
+  const vol::Volume v = desc.generate(0);
+  std::vector<std::uint8_t> buf(v.byte_size());
+  auto n = file.value()->pread(buf.data(), buf.size(), 0);
+  ASSERT_TRUE(n.is_ok());
+  ASSERT_EQ(n.value(), buf.size());
+  EXPECT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
+
+  // Every block read was a modelled disk read, and each one's wait was a
+  // loop timer: no server thread slept.
+  double disk_seconds = 0.0;
+  for (int i = 0; i < deployment->server_count(); ++i) {
+    disk_seconds += deployment->server(i).modeled_disk_seconds();
+  }
+  EXPECT_GT(disk_seconds, 0.0);
+  EXPECT_EQ(clock.sleeps(), 0);
   deployment->stop();
 }
 

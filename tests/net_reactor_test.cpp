@@ -127,6 +127,24 @@ TEST(Reactor, TimerFiresAndCancelledTimerDoesNot) {
   EXPECT_EQ(fired.load(), 1);
 }
 
+TEST(Reactor, SubMillisecondTimersFireOnTime) {
+  Reactor reactor;
+  constexpr double kDelay = 300e-6;
+  constexpr int kTimers = 50;
+  std::vector<double> lateness;
+  for (int i = 0; i < kTimers; ++i) {
+    std::promise<double> fired;
+    const double armed = reactor.now();
+    reactor.schedule_after(kDelay, [&] { fired.set_value(reactor.now()); });
+    lateness.push_back(fired.get_future().get() - armed - kDelay);
+  }
+  EXPECT_GE(*std::min_element(lateness.begin(), lateness.end()), 0.0)
+      << "a timer fired before its deadline";
+  std::nth_element(lateness.begin(), lateness.begin() + kTimers / 2,
+                   lateness.end());
+  EXPECT_LT(lateness[kTimers / 2], 0.3e-3) << "median lateness";
+}
+
 TEST(Reactor, DispatchesReadableFd) {
   Reactor reactor;
   int sv[2];
@@ -234,9 +252,10 @@ std::uint32_t seq_of(const Message& m) {
 // a barrier.
 constexpr std::uint32_t kBarrierType = 200;
 
-ReactorServerOptions overlap_type_100() {
+ReactorServerOptions overlap_type_100(std::size_t window) {
   ReactorServerOptions opts;
   opts.overlappable = [](std::uint32_t type) { return type == 100; };
+  opts.window = window;
   return opts;
 }
 
@@ -532,7 +551,7 @@ TEST(ReactorServerWindow, OverlappedRequestsShareTheHandlerAndKeepReplyOrder) {
         }
         return m;
       },
-      overlap_type_100(), &workers);
+      overlap_type_100(2), &workers);
   ASSERT_TRUE(server.listen(0).is_ok());
 
   auto client = TcpStream::connect("127.0.0.1", server.port());
@@ -579,7 +598,7 @@ TEST(ReactorServerWindow, UnmarkedRequestRunsAloneAfterEveryEarlierOne) {
         active.fetch_sub(1);
         return m;
       },
-      overlap_type_100(), &workers);
+      overlap_type_100(4), &workers);
   ASSERT_TRUE(server.listen(0).is_ok());
 
   auto client = TcpStream::connect("127.0.0.1", server.port());
@@ -603,12 +622,12 @@ TEST(ReactorServerWindow, UnmarkedRequestRunsAloneAfterEveryEarlierOne) {
   server.close();
 }
 
-TEST(ReactorServerWindow, InlineServerStaysSerial) {
+TEST(ReactorServerWindow, WindowOfOneStaysSerial) {
   ReactorPool pool(2);
   std::atomic<int> active{0};
   std::atomic<int> max_active{0};
-  // Marked independent, but with no worker pool there is nothing to
-  // overlap on: dispatch must stay one at a time.
+  // Marked independent, but a window of one request: dispatch must stay
+  // one at a time.
   ReactorServer server(
       pool,
       [&](Message&& m, std::uint64_t) {
@@ -620,7 +639,7 @@ TEST(ReactorServerWindow, InlineServerStaysSerial) {
         active.fetch_sub(1);
         return m;
       },
-      overlap_type_100());
+      overlap_type_100(1));
   ASSERT_TRUE(server.listen(0).is_ok());
 
   auto client = TcpStream::connect("127.0.0.1", server.port());
@@ -658,7 +677,7 @@ TEST(ReactorServerWindow, CloseDrainsWhileRepliesAreHeldOutOfOrder) {
         }
         return m;
       },
-      overlap_type_100(), &workers);
+      overlap_type_100(2), &workers);
   ASSERT_TRUE(server.listen(0).is_ok());
 
   auto client = TcpStream::connect("127.0.0.1", server.port());
@@ -683,7 +702,7 @@ TEST(ReactorServerWindow, CloseDrainsWhileRepliesAreHeldOutOfOrder) {
 TEST(ReactorServerWindow, WriteQueueCapStillShedsSlowConsumer) {
   ReactorPool pool(2);
   core::ThreadPool workers(2);
-  ReactorServerOptions opts = overlap_type_100();
+  ReactorServerOptions opts = overlap_type_100(2);
   opts.write_queue_cap_bytes = 64 * 1024;
   ReactorServer server(
       pool,
@@ -708,6 +727,108 @@ TEST(ReactorServerWindow, WriteQueueCapStillShedsSlowConsumer) {
       test_support::wait_until([&] { return server.stats().active_conns == 0; }));
   EXPECT_GT(server.stats().overlapped_requests, 0u);
   server.close();
+}
+
+// ---- deferred replies ----
+
+TEST(ReactorServerDeferral, RepliesLeaveInRequestOrderAfterTheLongestDelay) {
+  ReactorPool pool(2);
+  // Delays 30, 20, 10, 0 ms: each reply is ready before its predecessor.
+  // The handler runs inline on the loop and returns at once; the waits are
+  // loop timers, so they overlap.
+  ReactorServer server(
+      pool,
+      [](Message&& m, std::uint64_t) {
+        const double delay = 0.010 * (3 - seq_of(m));
+        return Reply(std::move(m), delay);
+      },
+      overlap_type_100(4));
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(send_message(*client.value(), seq_message(i)).is_ok());
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_GE(elapsed, 0.030);
+  EXPECT_LT(elapsed, 0.055) << "the delays ran one after another";
+  EXPECT_EQ(server.stats().overlapped_requests, 3u);
+  server.close();
+}
+
+TEST(ReactorServerDeferral, BarrierWaitsForDeferredPredecessors) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  std::atomic<double> read_ran{0.0};
+  std::atomic<double> barrier_ran{0.0};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        const double now = pool.at(0).now();
+        if (m.type == kBarrierType) {
+          barrier_ran.store(now);
+          return Reply(std::move(m));
+        }
+        read_ran.store(now);
+        return Reply(std::move(m), 0.020);
+      },
+      overlap_type_100(4), &workers);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  Message barrier = seq_message(1);
+  barrier.type = kBarrierType;
+  ASSERT_TRUE(send_message(*client.value(), seq_message(0)).is_ok());
+  ASSERT_TRUE(send_message(*client.value(), barrier).is_ok());
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  // The barrier's handler ran only once the deferred read had been
+  // written, i.e. not before its delay had passed.
+  EXPECT_GE(barrier_ran.load() - read_ran.load(), 0.020);
+  server.close();
+}
+
+TEST(ReactorServerDeferral, CloseWithArmedDeferralsDrainsCleanly) {
+  ReactorPool pool(2);
+  core::ThreadPool workers(2);
+  std::atomic<int> handled{0};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        handled.fetch_add(1);
+        return Reply(std::move(m), 10.0);  // far beyond the test
+      },
+      overlap_type_100(2), &workers);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  ASSERT_TRUE(send_message(*client.value(), seq_message(0)).is_ok());
+  ASSERT_TRUE(send_message(*client.value(), seq_message(1)).is_ok());
+  ASSERT_TRUE(test_support::wait_until([&] { return handled.load() == 2; }));
+
+  // close() cancels the armed timers instead of waiting them out, and the
+  // deferred replies die with the connection.
+  const auto start = std::chrono::steady_clock::now();
+  server.close();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            5.0);
+  EXPECT_FALSE(recv_message(*client.value()).is_ok());
 }
 
 }  // namespace
