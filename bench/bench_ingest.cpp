@@ -1,30 +1,25 @@
-// Ingest-pipeline bench: overwrite throughput via the classic client
-// fanout vs server-driven chain replication at rf 1/2/3, and replicated
-// vs EC(4,2) parity-delta overwrites.
+// Ingest-pipeline bench: server-driven chain-replicated overwrite
+// throughput at rf 1/2/3, and EC(4,2) parity-delta overwrites.
 //
 // Six pipe-transport servers host a synthetic combustion series.  For
 // each replication factor we ingest, open a file, and overwrite the whole
-// dataset twice: once with the client fanning every replica out itself,
-// once with one copy per block sent to its primary and the chain moving
+// dataset with one copy per block sent to its primary and the chain moving
 // the rest server-to-server.  The EC section overwrites a (4,2) dataset
 // through parity-delta writes (client ships each block once; m GF deltas
 // move server-to-server) and reports the parity-delta kernel ops.
 //
 // A final section sweeps concurrent writer connections against a real TCP
-// deployment, reactor front door vs the thread-per-connection baseline:
-// each writer chain-replicates its own slice, and the aggregate write
-// throughput per connection count shows where each front door knees over.
+// deployment: each writer chain-replicates its own slice, and the
+// aggregate write throughput per connection count shows where the front
+// door knees over.
 //
 // The last stdout line is a single machine-readable JSON object (the
 // BENCH_* perf-trajectory hook):
-//   {"bench":"ingest","rf1_fanout_mbps":...,"rf1_chain_mbps":...,
-//    "rf2_fanout_mbps":...,"rf2_chain_mbps":...,
-//    "rf3_fanout_mbps":...,"rf3_chain_mbps":...,
-//    "ec42_chain_mbps":...,"ec42_parity_deltas":...,
+//   {"bench":"ingest","rf1_chain_mbps":...,"rf2_chain_mbps":...,
+//    "rf3_chain_mbps":...,"ec42_chain_mbps":...,"ec42_parity_deltas":...,
 //    "rf2_chain_forwards":...,
 //    "sweep_reactor_w<N>_mbps":...,"sweep_reactor_w<N>_p50_ms":...,
-//    "sweep_reactor_w<N>_p95_ms":...,"sweep_reactor_w<N>_p99_ms":...,
-//    "sweep_threads_w<N>_mbps":... (same p50/p95/p99 trio)}
+//    "sweep_reactor_w<N>_p95_ms":...,"sweep_reactor_w<N>_p99_ms":...}
 // Per-write latency percentiles come from an obs::Histogram shared by the
 // driver threads -- mean throughput alone hides the chain's tail.
 #include <atomic>
@@ -58,7 +53,6 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint8_t salt) {
 }
 
 struct OverwriteResult {
-  double fanout_mbps = 0.0;
   double chain_mbps = 0.0;
   std::uint64_t chain_forwards = 0;
 };
@@ -85,12 +79,7 @@ OverwriteResult run_rf(const vol::DatasetDesc& dataset, std::uint32_t rf) {
   auto file = client.open(dataset.name);
   if (!file.is_ok()) return out;
 
-  const auto fanout_bytes = pattern_bytes(dataset.total_bytes(), 1);
-  file.value()->set_write_mode(dpss::DpssFile::WriteMode::kClientFanout);
-  out.fanout_mbps = timed_overwrite(*file.value(), fanout_bytes);
-
   const auto chain_bytes = pattern_bytes(dataset.total_bytes(), 2);
-  file.value()->set_write_mode(dpss::DpssFile::WriteMode::kServerChain);
   out.chain_mbps = timed_overwrite(*file.value(), chain_bytes);
   for (int s = 0; s < deployment.server_count(); ++s) {
     out.chain_forwards += deployment.server(s).chain_forwards();
@@ -98,7 +87,7 @@ OverwriteResult run_rf(const vol::DatasetDesc& dataset, std::uint32_t rf) {
   return out;
 }
 
-// ---- writer-connections sweep (reactor vs thread-per-conn) ----
+// ---- writer-connections sweep ----
 
 constexpr int kWriterCounts[] = {16, 64, 256};
 constexpr int kWriterDrivers = 8;
@@ -115,13 +104,11 @@ struct WriterPoint {
   double p99_ms = 0.0;
 };
 
-WriterPoint run_writer_point(dpss::ServeMode mode,
-                             const vol::DatasetDesc& dataset, int conns) {
+WriterPoint run_writer_point(const vol::DatasetDesc& dataset, int conns) {
   WriterPoint out;
   out.conns = conns;
 
   dpss::TcpDeploymentOptions options;
-  options.serve_mode = mode;
   options.worker_threads = 8;
   dpss::TcpDeployment deployment(4, dpss::DiskModel{}, /*throttle=*/false,
                                  dpss::ServerCacheConfig{}, options);
@@ -154,7 +141,6 @@ WriterPoint run_writer_point(dpss::ServeMode mode,
             errors.fetch_add(1);
             continue;
           }
-          file.value()->set_write_mode(dpss::DpssFile::WriteMode::kServerChain);
           writers[static_cast<std::size_t>(i)] = std::unique_ptr<Writer>(
               new Writer{std::move(client).take(), std::move(file).take()});
         }
@@ -221,13 +207,11 @@ int main() {
               core::format_bytes(static_cast<double>(dataset.total_bytes()))
                   .c_str());
 
-  core::TableWriter table({"mode", "fanout MB/s", "chain MB/s",
-                           "chain forwards"});
+  core::TableWriter table({"mode", "chain MB/s", "chain forwards"});
   OverwriteResult results[4];
   for (std::uint32_t rf = 1; rf <= 3; ++rf) {
     results[rf] = run_rf(dataset, rf);
     table.add_row({"rf=" + std::to_string(rf),
-                   core::fmt_double(results[rf].fanout_mbps, 1),
                    core::fmt_double(results[rf].chain_mbps, 1),
                    std::to_string(results[rf].chain_forwards)});
   }
@@ -251,7 +235,7 @@ int main() {
         }
       }
     }
-    table.add_row({"EC(4,2)", "n/a", core::fmt_double(ec_mbps, 1),
+    table.add_row({"EC(4,2)", core::fmt_double(ec_mbps, 1),
                    std::to_string(ec_deltas) + " deltas"});
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -260,35 +244,25 @@ int main() {
   std::printf("writer sweep: 4 TCP servers, rf=2 chain, %d x %zu B/conn\n",
               kWriteRounds, kSliceBytes);
   core::TableWriter sweep_table(
-      {"writers", "reactor MB/s", "reactor p50/p95/p99 ms", "reactor errors",
-       "threads MB/s", "threads p50/p95/p99 ms", "threads errors"});
+      {"writers", "MB/s", "p50/p95/p99 ms", "errors"});
   auto fmt_tail = [](const WriterPoint& p) {
     return core::fmt_double(p.p50_ms, 2) + "/" + core::fmt_double(p.p95_ms, 2) +
            "/" + core::fmt_double(p.p99_ms, 2);
   };
-  std::vector<WriterPoint> reactor_pts, thread_pts;
+  std::vector<WriterPoint> reactor_pts;
   for (int conns : kWriterCounts) {
-    reactor_pts.push_back(
-        run_writer_point(dpss::ServeMode::kReactor, dataset, conns));
-    thread_pts.push_back(run_writer_point(
-        dpss::ServeMode::kThreadPerConnection, dataset, conns));
+    reactor_pts.push_back(run_writer_point(dataset, conns));
     sweep_table.add_row(
         {std::to_string(conns),
          core::fmt_double(reactor_pts.back().aggregate_mbps, 1),
          fmt_tail(reactor_pts.back()),
-         std::to_string(reactor_pts.back().write_errors),
-         core::fmt_double(thread_pts.back().aggregate_mbps, 1),
-         fmt_tail(thread_pts.back()),
-         std::to_string(thread_pts.back().write_errors)});
+         std::to_string(reactor_pts.back().write_errors)});
   }
   std::printf("%s\n", sweep_table.to_string().c_str());
 
   bench::Summary summary("ingest");
-  summary.metric("rf1_fanout_mbps", results[1].fanout_mbps)
-      .metric("rf1_chain_mbps", results[1].chain_mbps)
-      .metric("rf2_fanout_mbps", results[2].fanout_mbps)
+  summary.metric("rf1_chain_mbps", results[1].chain_mbps)
       .metric("rf2_chain_mbps", results[2].chain_mbps)
-      .metric("rf3_fanout_mbps", results[3].fanout_mbps)
       .metric("rf3_chain_mbps", results[3].chain_mbps)
       .metric("ec42_chain_mbps", ec_mbps)
       .metric("ec42_parity_deltas", static_cast<double>(ec_deltas))
@@ -298,13 +272,9 @@ int main() {
     const std::string w = std::to_string(reactor_pts[i].conns);
     summary.metric("sweep_reactor_w" + w + "_mbps",
                    reactor_pts[i].aggregate_mbps)
-        .metric("sweep_threads_w" + w + "_mbps", thread_pts[i].aggregate_mbps)
         .metric("sweep_reactor_w" + w + "_p50_ms", reactor_pts[i].p50_ms)
         .metric("sweep_reactor_w" + w + "_p95_ms", reactor_pts[i].p95_ms)
-        .metric("sweep_reactor_w" + w + "_p99_ms", reactor_pts[i].p99_ms)
-        .metric("sweep_threads_w" + w + "_p50_ms", thread_pts[i].p50_ms)
-        .metric("sweep_threads_w" + w + "_p95_ms", thread_pts[i].p95_ms)
-        .metric("sweep_threads_w" + w + "_p99_ms", thread_pts[i].p99_ms);
+        .metric("sweep_reactor_w" + w + "_p99_ms", reactor_pts[i].p99_ms);
   }
   return summary.write();
 }

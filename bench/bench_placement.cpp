@@ -9,9 +9,8 @@
 // factor 1 has no degraded figure: a kill there loses data outright.
 //
 // A second section sweeps concurrent reader connections against one real
-// TCP block server, reactor front door vs the thread-per-connection
-// baseline: same request stream, growing fan-in, aggregate pread
-// throughput per point.  This is the knee the reactor refactor moved.
+// TCP block server's reactor front door: same request stream, growing
+// fan-in, aggregate pread throughput per point.
 //
 // The last stdout line is a single machine-readable JSON object (the
 // BENCH_* perf-trajectory hook):
@@ -21,8 +20,7 @@
 //    "rf2_failover_reads":...,
 //    "sweep_reactor_c<N>_mbps":...,"sweep_reactor_c<N>_p50_ms":...,
 //    "sweep_reactor_c<N>_p95_ms":...,"sweep_reactor_c<N>_p99_ms":...,
-//    "sweep_threads_c<N>_mbps":... (same p50/p95/p99 trio),
-//    "sweep_reactor_max_conns":...,"sweep_threads_max_conns":...}
+//    "sweep_reactor_max_conns":...}
 // Latency percentiles come from an obs::Histogram shared by every driver
 // thread -- the same log-bucketed instrument the servers export.
 #include <algorithm>
@@ -104,14 +102,9 @@ RfResult run_rf(const vol::DatasetDesc& dataset, std::uint32_t rf) {
   return out;
 }
 
-// ---- connections-vs-throughput sweep (reactor vs thread-per-conn) ----
+// ---- connections-vs-throughput sweep ----
 
 constexpr int kSweepConns[] = {64, 256, 512, 1024, 2048};
-// Thread-per-connection burns ~2 service threads per client (server +
-// master side); past ~1024 connections the process needs >4k threads and
-// the host kills it outright.  The reactor side has no such cliff, which
-// is exactly the knee this sweep exists to show.
-constexpr int kThreadModeConnCap = 1024;
 constexpr int kSweepDrivers = 16;
 constexpr int kReadsPerConn = 8;
 constexpr std::size_t kSweepReadBytes = 4096;
@@ -126,16 +119,14 @@ struct SweepPoint {
   double p99_ms = 0.0;
 };
 
-SweepPoint run_sweep_point(dpss::ServeMode mode,
-                           const vol::DatasetDesc& dataset, int conns) {
+SweepPoint run_sweep_point(const vol::DatasetDesc& dataset, int conns) {
   SweepPoint out;
   out.target_conns = conns;
 
   dpss::TcpDeploymentOptions options;
-  options.serve_mode = mode;
   options.worker_threads = 8;
   // Openings at the high end race a cold accept path; a short connect
-  // deadline turns a fallen-over baseline into a counted failure instead
+  // deadline turns a fallen-over front door into a counted failure instead
   // of a minutes-long stall.
   options.connect_timeout_seconds = 5.0;
   dpss::TcpDeployment deployment(1, dpss::DiskModel{}, /*throttle=*/false,
@@ -244,51 +235,28 @@ int main() {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  // Fan-in sweep: one TCP block server, growing concurrent readers,
-  // reactor vs thread-per-connection front door.
+  // Fan-in sweep: one TCP block server, growing concurrent readers.
   std::printf("connection sweep: 1 TCP server, %d preads x %zu B/conn\n",
               kReadsPerConn, kSweepReadBytes);
-  core::TableWriter sweep_table({"conns", "reactor MB/s",
-                                 "reactor p50/p95/p99 ms", "reactor sustained",
-                                 "threads MB/s", "threads p50/p95/p99 ms",
-                                 "threads sustained"});
+  core::TableWriter sweep_table(
+      {"conns", "MB/s", "p50/p95/p99 ms", "sustained"});
   auto fmt_tail = [](const SweepPoint& p) {
     return core::fmt_double(p.p50_ms, 2) + "/" + core::fmt_double(p.p95_ms, 2) +
            "/" + core::fmt_double(p.p99_ms, 2);
   };
-  std::vector<SweepPoint> reactor_pts, thread_pts;
+  std::vector<SweepPoint> reactor_pts;
+  int max_sustained = 0;
   for (int conns : kSweepConns) {
-    reactor_pts.push_back(
-        run_sweep_point(dpss::ServeMode::kReactor, dataset, conns));
-    const bool thread_measurable = conns <= kThreadModeConnCap;
-    if (thread_measurable) {
-      thread_pts.push_back(
-          run_sweep_point(dpss::ServeMode::kThreadPerConnection, dataset,
-                          conns));
+    reactor_pts.push_back(run_sweep_point(dataset, conns));
+    const SweepPoint& p = reactor_pts.back();
+    if (p.sustained_conns == p.target_conns) {
+      max_sustained = std::max(max_sustained, p.sustained_conns);
     }
-    sweep_table.add_row(
-        {std::to_string(conns),
-         core::fmt_double(reactor_pts.back().aggregate_mbps, 1),
-         fmt_tail(reactor_pts.back()),
-         std::to_string(reactor_pts.back().sustained_conns),
-         thread_measurable
-             ? core::fmt_double(thread_pts.back().aggregate_mbps, 1)
-             : std::string("n/a (>4k threads)"),
-         thread_measurable ? fmt_tail(thread_pts.back()) : std::string("n/a"),
-         thread_measurable
-             ? std::to_string(thread_pts.back().sustained_conns)
-             : std::string("0")});
+    sweep_table.add_row({std::to_string(conns),
+                         core::fmt_double(p.aggregate_mbps, 1), fmt_tail(p),
+                         std::to_string(p.sustained_conns)});
   }
   std::printf("%s\n", sweep_table.to_string().c_str());
-  auto max_sustained = [](const std::vector<SweepPoint>& pts) {
-    int best = 0;
-    for (const auto& p : pts) {
-      if (p.sustained_conns == p.target_conns) {
-        best = std::max(best, p.sustained_conns);
-      }
-    }
-    return best;
-  };
 
   bench::Summary summary("placement");
   summary.metric("rf1_ingest_mbps", results[1].ingest_mbps)
@@ -308,22 +276,8 @@ int main() {
         .metric("sweep_reactor_c" + c + "_p50_ms", reactor_pts[i].p50_ms)
         .metric("sweep_reactor_c" + c + "_p95_ms", reactor_pts[i].p95_ms)
         .metric("sweep_reactor_c" + c + "_p99_ms", reactor_pts[i].p99_ms);
-    // Unmeasurable thread-mode points report 0 (the baseline cannot stand
-    // up that many connections on this host at all).
-    const bool tm = i < thread_pts.size();
-    summary
-        .metric("sweep_threads_c" + c + "_mbps",
-                tm ? thread_pts[i].aggregate_mbps : 0.0)
-        .metric("sweep_threads_c" + c + "_p50_ms",
-                tm ? thread_pts[i].p50_ms : 0.0)
-        .metric("sweep_threads_c" + c + "_p95_ms",
-                tm ? thread_pts[i].p95_ms : 0.0)
-        .metric("sweep_threads_c" + c + "_p99_ms",
-                tm ? thread_pts[i].p99_ms : 0.0);
   }
   summary.metric("sweep_reactor_max_conns",
-                 static_cast<double>(max_sustained(reactor_pts)))
-      .metric("sweep_threads_max_conns",
-              static_cast<double>(max_sustained(thread_pts)));
+                 static_cast<double>(max_sustained));
   return summary.write();
 }

@@ -167,8 +167,7 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
       dataset, open_reply.layout, std::move(streams),
       std::move(open_reply.servers), std::move(map),
       std::move(open_reply.server_health), std::move(open_reply.server_load),
-      std::move(reporter), std::move(fixup_reporter),
-      open_reply.ingest_capable);
+      std::move(reporter), std::move(fixup_reporter));
   file->set_generation_floor(open_reply.max_generation);
   file->set_cache_hint(open_reply.cache_hint);
   return file;
@@ -498,8 +497,7 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
                    std::shared_ptr<const placement::PlacementMap> placement,
                    std::vector<placement::HealthState> server_health,
                    std::vector<std::uint64_t> server_load,
-                   FailureReporter reporter, FixupReporter fixup_reporter,
-                   bool ingest_capable)
+                   FailureReporter reporter, FixupReporter fixup_reporter)
     : dataset_(std::move(dataset)),
       layout_(layout),
       servers_(std::move(server_streams)),
@@ -509,7 +507,6 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
       server_load_(std::move(server_load)),
       reporter_(std::move(reporter)),
       fixup_reporter_(std::move(fixup_reporter)),
-      ingest_capable_(ingest_capable),
       per_server_blocks_(servers_.size(), 0),
       wire_bytes_(registry_.counter("dpss_client_wire_bytes_total")),
       raw_bytes_(registry_.counter("dpss_client_raw_bytes_total")),
@@ -1376,126 +1373,10 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
   return core::Status::ok();
 }
 
-core::Status DpssFile::write_fanout(std::uint64_t first_block,
-                                    const std::uint8_t* src, std::size_t len) {
-  std::uint64_t at = first_block * layout_.block_bytes;
-  std::size_t remaining = len;
-  const std::uint8_t* p = src;
-  // Per-server pipelining for writes too; a replicated block is written to
-  // every live replica, each stamped with the same next generation so the
-  // cache tiers re-key exactly as the chain path does.
-  std::vector<std::vector<BlockWriteRequest>> by_server(servers_.size());
-  std::map<std::uint64_t, int> targets_per_block;
-  std::map<std::uint64_t, std::uint64_t> gen_per_block;
-  while (remaining > 0) {
-    const std::uint64_t block = at / layout_.block_bytes;
-    const std::size_t n = std::min<std::size_t>(remaining, layout_.block_bytes);
-    int targets = 0;
-    const std::vector<std::uint32_t> classic_owner = {
-        layout_.server_for_block(block)};
-    const std::uint64_t generation =
-        known_gens_.latest(dataset_, block) + 1;
-    for (std::uint32_t s :
-         placement_ ? candidates_for_block(block) : classic_owner) {
-      if (s >= servers_.size() || !server_alive_[s] || !servers_[s]) continue;
-      BlockWriteRequest req;
-      req.dataset = dataset_;
-      req.block = block;
-      req.generation = generation;
-      req.data.assign(p, p + n);
-      by_server[s].push_back(std::move(req));
-      ++targets;
-    }
-    if (targets == 0) {
-      return core::unavailable("no live replica to write block " +
-                               std::to_string(block));
-    }
-    targets_per_block[block] = targets;
-    gen_per_block[block] = generation;
-    at += n;
-    p += n;
-    remaining -= n;
-  }
-  std::vector<core::Status> statuses(servers_.size());
-  std::vector<std::vector<std::uint64_t>> acked(servers_.size());
-  std::vector<std::thread> workers;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
-    workers.emplace_back([this, s, &by_server, &statuses, &acked] {
-      net::ByteStream& stream = *servers_[s];
-      for (const auto& req : by_server[s]) {
-        net::Message m = encode_block_write_request(req);
-        if (active_trace_.sampled()) {
-          m.trace_id = active_trace_.trace_id;
-          m.span_id = obs::new_span_id();
-        }
-        if (auto st = net::send_message(stream, m); !st.is_ok()) {
-          statuses[s] = st;
-          return;
-        }
-      }
-      for (std::size_t i = 0; i < by_server[s].size(); ++i) {
-        auto msg = net::recv_message(stream);
-        if (!msg.is_ok()) {
-          statuses[s] = msg.status();
-          return;
-        }
-        auto reply = decode_block_write_reply(msg.value());
-        if (!reply.is_ok()) {
-          statuses[s] = reply.status();
-          return;
-        }
-        acked[s].push_back(reply.value());
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  std::map<std::uint64_t, int> acks;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
-    for (std::uint64_t b : acked[s]) ++acks[b];
-    if (!statuses[s].is_ok()) {
-      mark_server_failed(s, by_server[s].front().block, statuses[s]);
-    }
-  }
-  for (const auto& [block, targets] : targets_per_block) {
-    if (acks[block] == 0) {
-      // Every replica write failed: the block is not durable anywhere.
-      for (std::size_t s = 0; s < servers_.size(); ++s) {
-        if (!statuses[s].is_ok()) return statuses[s];
-      }
-      return core::unavailable("block write acknowledged by no replica");
-    }
-    if (acks[block] < targets) {
-      // Durable but under-replicated: count it (the dead replica was
-      // reported via mark_server_failed, so a rebalance can repair).
-      degraded_writes_.inc();
-    }
-    // The stamp is learned only once acknowledged somewhere, so a failed
-    // write never raises the generation floor past what exists.
-    const std::uint64_t generation = gen_per_block[block];
-    if (known_gens_.observe(dataset_, block, generation) && ra_cache_) {
-      ra_cache_->erase(cache::BlockKey{dataset_, block, generation - 1});
-    }
-  }
-  return core::Status::ok();
-}
-
 core::Status DpssFile::write(const std::uint8_t* buf, std::size_t len) {
   OBS_STAGE("client.write");
   if (offset_ % layout_.block_bytes != 0) {
     return core::invalid_argument("dpssWrite must start block-aligned");
-  }
-  const bool chain =
-      ingest_capable_ && write_mode_ == WriteMode::kServerChain;
-  if (ec_.valid() && !chain) {
-    // Without the server-driven pipeline a data-slice write would silently
-    // invalidate its group's parity; old-mode deployments must re-ingest.
-    return core::failed_precondition(
-        "dpssWrite on erasure-coded dataset " + dataset_ +
-        " requires an ingest-capable deployment (parity-delta writes); "
-        "re-ingest to update");
   }
   std::lock_guard lk(wire_mu_);
   const double t0 = core::global_real_clock().now();
@@ -1511,8 +1392,7 @@ core::Status DpssFile::write(const std::uint8_t* buf, std::size_t len) {
   }
   active_trace_ = trace;
   const std::uint64_t first_block = offset_ / layout_.block_bytes;
-  auto st = chain ? write_chain(first_block, buf, len)
-                  : write_fanout(first_block, buf, len);
+  auto st = write_chain(first_block, buf, len);
   active_trace_ = obs::TraceContext{};
   if (!st.is_ok()) return st;
   offset_ += len;

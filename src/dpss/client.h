@@ -241,8 +241,7 @@ class DpssFile {
            std::vector<placement::HealthState> server_health = {},
            std::vector<std::uint64_t> server_load = {},
            FailureReporter reporter = nullptr,
-           FixupReporter fixup_reporter = nullptr,
-           bool ingest_capable = true);
+           FixupReporter fixup_reporter = nullptr);
   ~DpssFile();
 
   const DatasetLayout& layout() const { return layout_; }
@@ -274,11 +273,9 @@ class DpssFile {
 
   // dpssWrite(): striped write-through at the current offset (ingest path).
   // Writes must be block-aligned and whole-block except the final block.
-  // Against an ingest-capable deployment each block travels ONCE, to its
-  // primary, which replicates it server-side (chain for replicas, parity
-  // deltas for EC) under the file's ack policy; old-mode deployments fall
-  // back to the classic client-fanout write, and EC datasets there refuse
-  // with kFailedPrecondition.
+  // Each block travels ONCE, to its primary, which replicates it
+  // server-side (chain for replicas, parity deltas for EC) under the
+  // file's ack policy.
   core::Status write(const std::uint8_t* buf, std::size_t len);
 
   // Durable-copy policy for writes (default: every replica / parity owner
@@ -291,15 +288,6 @@ class DpssFile {
   // bytes until Master::tick drains the fixups.
   void set_ack_policy(ingest::AckPolicy policy) { ack_policy_ = policy; }
   ingest::AckPolicy ack_policy() const { return ack_policy_; }
-
-  // Write transport: server-driven chain (the default wherever the
-  // deployment supports it) or the classic client-fanout, kept for
-  // old-mode deployments and A/B benchmarking.  EC datasets require the
-  // chain.
-  enum class WriteMode { kServerChain, kClientFanout };
-  void set_write_mode(WriteMode mode) { write_mode_ = mode; }
-  WriteMode write_mode() const { return write_mode_; }
-  bool ingest_capable() const { return ingest_capable_; }
 
   // dpssClose(): close all server connections.
   void close();
@@ -434,10 +422,6 @@ class DpssFile {
   // primary, pipelined per primary connection.
   core::Status write_chain(std::uint64_t first_block,
                            const std::uint8_t* src, std::size_t len);
-  // Classic client-fanout: every replica written from here (old-mode
-  // deployments and A/B benches).
-  core::Status write_fanout(std::uint64_t first_block,
-                            const std::uint8_t* src, std::size_t len);
   // Bookkeeping for one acknowledged ingest write: learn the generation,
   // re-key the read-ahead tier, count degradation, report missed targets
   // (matched against `deltas` so a missed parity owner's debt names the
@@ -468,11 +452,9 @@ class DpssFile {
   std::vector<std::uint64_t> server_load_;
   FailureReporter reporter_;
   FixupReporter fixup_reporter_;
-  bool ingest_capable_ = true;
   std::uint64_t generation_floor_ = 0;
   meta::CacheHint cache_hint_ = meta::CacheHint::kNone;
   ingest::AckPolicy ack_policy_ = ingest::AckPolicy::kAll;
-  WriteMode write_mode_ = WriteMode::kServerChain;
   // Latest acknowledged/observed generation per block (its own lock).
   ingest::GenerationMap known_gens_;
   // Per-server liveness as seen by this file (guarded by wire_mu_ on the

@@ -1,7 +1,6 @@
 #include "dpss/deployment.h"
 
 #include <cstring>
-#include <map>
 
 #include "codec/reed_solomon.h"
 #include "codec/stripe_layout.h"
@@ -28,23 +27,6 @@ std::uint64_t export_spans_to_master(Master& master, TraceExport& e) {
   auto accepted = decode_span_export_reply(reply);
   return accepted.is_ok() ? accepted.value() : 0;
 }
-
-namespace {
-
-// Wire one component's trace-export pipeline: a bounded sink fed by a
-// real-clock NetLogger handed to `attach`.
-std::unique_ptr<TraceExport> make_trace_export(
-    const std::string& host, std::size_t sink_capacity,
-    const std::function<void(std::shared_ptr<netlog::NetLogger>)>& attach) {
-  auto e = std::make_unique<TraceExport>();
-  e->host = host;
-  e->sink = std::make_shared<netlog::MemorySink>(sink_capacity);
-  attach(std::make_shared<netlog::NetLogger>(core::global_real_clock(), host,
-                                             "dpss", e->sink));
-  return e;
-}
-
-}  // namespace
 
 namespace {
 
@@ -530,61 +512,25 @@ core::Status apply_fixup(
                            std::to_string(task.block) + " of " + task.dataset);
 }
 
-namespace {
+// ---- deployment --------------------------------------------------------------
 
-// Shared deployment rebalance flow: hand the master the live membership
-// and execute the plan against the resolved block servers while the old
-// map is still the one being served.
-core::Status rebalance_live(
-    Master& master, const std::string& name,
-    std::vector<ServerAddress> live,
-    const std::function<BlockServer*(const ServerAddress&)>& resolve) {
-  auto plan = master.rebalance_dataset(
-      name, std::move(live), [&](const placement::RebalancePlan& p) {
-        return apply_rebalance_plan(p, resolve);
-      });
-  return plan.is_ok() ? core::Status::ok() : plan.status();
-}
-
-}  // namespace
-
-// ---- pipe deployment ---------------------------------------------------------
-
-Connector PipeDeployment::make_peer_connector() {
-  return [this](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
-    BlockServer* srv = nullptr;
-    {
-      std::lock_guard lk(state_mu_);
-      if (addr.port >= servers_.size()) {
-        return core::not_found("unknown pipe server: " + addr.host);
-      }
-      if (killed_[addr.port]) {
-        return core::unavailable("server killed: " + addr.host);
-      }
-      srv = servers_[addr.port].get();
-    }
-    auto [near_end, far_end] = net::make_pipe();
-    srv->serve(far_end);
-    return near_end;
-  };
-}
-
-namespace {
-
-// Generation source for the master's rebalance planner, shared by both
-// deployments: the min stamp `addr` holds across a placement group's
-// blocks, or -1 when it does not hold the whole group (it cannot source
-// the copy).  Invoked under the master's request mutex; the catalog and
-// block stores lock independently, matching the executor's lock order.
-Master::DatasetGenerationView make_generation_view(
-    Master& master,
-    std::function<BlockServer*(const ServerAddress&)> resolve) {
-  return [&master, resolve = std::move(resolve)](
-             const std::string& dataset, const ServerAddress& addr,
-             std::uint64_t group) -> std::int64_t {
-    BlockServer* server = resolve(addr);
+Deployment::Deployment(int server_count, DiskModel disk, bool throttle,
+                       ServerCacheConfig cache)
+    : disk_(disk), throttle_(throttle), cache_config_(cache) {
+  for (int i = 0; i < server_count; ++i) {
+    members_.push_back({new_server(i), Doors{}, State::kClosed});
+  }
+  // Generation source for the master's rebalance planner: the min stamp
+  // `addr` holds across a placement group's blocks, or -1 when it does not
+  // hold the whole group (it cannot source the copy).  Invoked under the
+  // master's request mutex; the catalog and block stores lock
+  // independently, matching the executor's lock order.
+  master_.set_generation_view([this](const std::string& dataset,
+                                     const ServerAddress& addr,
+                                     std::uint64_t group) -> std::int64_t {
+    BlockServer* server = server_for(addr);
     if (!server) return -1;
-    auto entry = master.catalog().lookup(dataset);
+    auto entry = master_.catalog().lookup(dataset);
     if (!entry) return -1;
     const std::uint64_t first = group * entry->layout.stripe_blocks;
     const std::uint64_t last = std::min<std::uint64_t>(
@@ -598,173 +544,229 @@ Master::DatasetGenerationView make_generation_view(
       if (min_gen < 0 || gen < min_gen) min_gen = gen;
     }
     return min_gen;
-  };
+  });
 }
 
-}  // namespace
+std::unique_ptr<BlockServer> Deployment::new_server(int i) {
+  auto server = std::make_unique<BlockServer>(
+      "dpss-server-" + std::to_string(i), disk_, throttle_, cache_config_);
+  // Chain forwards and parity deltas go through the transport like client
+  // traffic -- including its connect deadline and liveness gate, so a hop
+  // into a dead peer fails over instead of hanging the chain -- but dial
+  // the target's peer door.  The chain carries client addresses, so the
+  // rewrite happens here, against the doors recorded right now.
+  server->set_peer_connector(
+      [this](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
+        ServerAddress target = addr;
+        {
+          std::lock_guard lk(state_mu_);
+          for (const Member& m : members_) {
+            if (m.doors.client == addr) target = m.doors.peer;
+          }
+        }
+        return connect(target);
+      });
+  return server;
+}
 
-PipeDeployment::PipeDeployment(int server_count, DiskModel disk,
-                               ServerCacheConfig cache)
-    : disk_(disk), cache_config_(cache) {
-  for (int i = 0; i < server_count; ++i) {
-    servers_.push_back(std::make_unique<BlockServer>(
-        "dpss-server-" + std::to_string(i), disk, /*throttle=*/false, cache));
-    servers_.back()->set_peer_connector(make_peer_connector());
-    killed_.push_back(0);
+int Deployment::server_count() const {
+  std::lock_guard lk(state_mu_);
+  return static_cast<int>(members_.size());
+}
+
+ServerAddress Deployment::server_address(int i) const {
+  std::lock_guard lk(state_mu_);
+  if (i < 0 || static_cast<std::size_t>(i) >= members_.size()) return {};
+  return members_[static_cast<std::size_t>(i)].doors.client;
+}
+
+core::Status Deployment::open_member(int i) {
+  Doors at;
+  {
+    std::lock_guard lk(state_mu_);
+    at = members_[static_cast<std::size_t>(i)].doors;
   }
-  master_.set_generation_view(make_generation_view(
-      master_, [this](const ServerAddress& a) { return server_for(a); }));
+  auto doors = open_doors(i, at);
+  if (!doors.is_ok()) return doors.status();
+  std::lock_guard lk(state_mu_);
+  Member& m = members_[static_cast<std::size_t>(i)];
+  m.doors = std::move(doors).take();
+  m.state = State::kServing;
+  return core::Status::ok();
 }
 
-PipeDeployment::~PipeDeployment() {
+Deployment::State Deployment::state(int i) const {
+  std::lock_guard lk(state_mu_);
+  return i >= 0 && static_cast<std::size_t>(i) < members_.size()
+             ? members_[static_cast<std::size_t>(i)].state
+             : State::kClosed;
+}
+
+core::Status Deployment::open_all_doors() {
+  for (int i = 0; i < server_count(); ++i) {
+    if (state(i) != State::kClosed) continue;
+    if (auto st = open_member(i); !st.is_ok()) return st;
+  }
+  return core::Status::ok();
+}
+
+void Deployment::shutdown() {
   master_.shutdown();
-  for (auto& s : servers_) s->shutdown();
+  for (int i = 0; i < server_count(); ++i) server(i).shutdown();
 }
 
-ServerAddress PipeDeployment::server_address(int i) const {
-  return ServerAddress{"pipe-server-" + std::to_string(i),
-                       static_cast<std::uint16_t>(i)};
-}
-
-core::Status PipeDeployment::ingest(const vol::DatasetDesc& desc,
-                                    std::uint32_t block_bytes,
-                                    std::uint32_t stripe_blocks,
-                                    std::uint32_t replication_factor,
-                                    const codec::EcProfile& ec) {
-  std::vector<BlockServer*> raw;
-  std::vector<ServerAddress> addrs;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    raw.push_back(servers_[i].get());
-    addrs.push_back(server_address(static_cast<int>(i)));
+core::Result<BlockServer*> Deployment::serving_server(
+    const ServerAddress& addr) const {
+  std::lock_guard lk(state_mu_);
+  for (const Member& m : members_) {
+    if (m.doors.client != addr) continue;
+    if (m.state != State::kServing) {
+      return core::unavailable("server not serving: " + addr.key());
+    }
+    return m.server.get();
   }
-  return ingest_dataset(master_, std::move(raw), std::move(addrs), desc,
-                        block_bytes, stripe_blocks, replication_factor, ec);
+  return core::not_found("unknown server: " + addr.key());
 }
 
-core::Status PipeDeployment::generate_thumbnails(
+BlockServer* Deployment::server_for(const ServerAddress& addr) {
+  std::lock_guard lk(state_mu_);
+  for (const Member& m : members_) {
+    if (m.doors.client == addr) return m.server.get();
+  }
+  return nullptr;
+}
+
+void Deployment::snapshot(std::vector<BlockServer*>* servers,
+                          std::vector<ServerAddress>* addresses) const {
+  std::lock_guard lk(state_mu_);
+  for (const Member& m : members_) {
+    servers->push_back(m.server.get());
+    addresses->push_back(m.doors.client);
+  }
+}
+
+core::Status Deployment::ingest(const vol::DatasetDesc& desc,
+                                std::uint32_t block_bytes,
+                                std::uint32_t stripe_blocks,
+                                std::uint32_t replication_factor,
+                                const codec::EcProfile& ec) {
+  if (auto st = open_all_doors(); !st.is_ok()) return st;
+  std::vector<BlockServer*> servers;
+  std::vector<ServerAddress> addresses;
+  snapshot(&servers, &addresses);
+  return ingest_dataset(master_, std::move(servers), std::move(addresses),
+                        desc, block_bytes, stripe_blocks, replication_factor,
+                        ec);
+}
+
+core::Status Deployment::generate_thumbnails(
     const vol::DatasetDesc& desc, const render::TransferFunction& tf,
     const ThumbnailOptions& options) {
-  std::vector<BlockServer*> raw;
-  std::vector<ServerAddress> addrs;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    raw.push_back(servers_[i].get());
-    addrs.push_back(server_address(static_cast<int>(i)));
-  }
-  return dpss::generate_thumbnails(master_, std::move(raw), std::move(addrs),
-                                   desc, tf, options);
+  if (auto st = open_all_doors(); !st.is_ok()) return st;
+  std::vector<BlockServer*> servers;
+  std::vector<ServerAddress> addresses;
+  snapshot(&servers, &addresses);
+  return dpss::generate_thumbnails(master_, std::move(servers),
+                                   std::move(addresses), desc, tf, options);
 }
 
-DpssClient PipeDeployment::make_client() {
-  auto [client_end, master_end] = net::make_pipe();
-  master_.serve(master_end);
-  Connector connector = [this](const ServerAddress& addr)
-      -> core::Result<net::StreamPtr> {
-    BlockServer* srv = nullptr;
-    {
-      std::lock_guard lk(state_mu_);
-      // Pipe addresses carry the server index in the port field.
-      if (addr.port >= servers_.size()) {
-        return core::not_found("unknown pipe server: " + addr.host);
-      }
-      if (killed_[addr.port]) {
-        return core::unavailable("server killed: " + addr.host);
-      }
-      srv = servers_[addr.port].get();
-    }
-    auto [client_side, server_side] = net::make_pipe();
-    srv->serve(server_side);
-    return client_side;
-  };
-  return DpssClient(client_end, std::move(connector));
-}
-
-void PipeDeployment::kill_server(int i) {
+void Deployment::kill_server(int i) {
   BlockServer* srv = nullptr;
   {
     std::lock_guard lk(state_mu_);
-    if (i < 0 || static_cast<std::size_t>(i) >= servers_.size() ||
-        killed_[static_cast<std::size_t>(i)]) {
+    if (i < 0 || static_cast<std::size_t>(i) >= members_.size() ||
+        members_[static_cast<std::size_t>(i)].state != State::kServing) {
       return;
     }
-    killed_[static_cast<std::size_t>(i)] = 1;
-    srv = servers_[static_cast<std::size_t>(i)].get();
+    members_[static_cast<std::size_t>(i)].state = State::kKilled;
+    srv = members_[static_cast<std::size_t>(i)].server.get();
   }
-  // Outside the lock: shutdown joins service threads.
+  // Outside the lock: close the doors first (draining in-flight handlers),
+  // then shut the server down, which joins its pipe service threads and
+  // drops its pooled peer links.
+  close_doors(i);
   srv->shutdown();
 }
 
-void PipeDeployment::revive_server(int i) {
-  std::uint64_t served = 0;
-  {
-    std::lock_guard lk(state_mu_);
-    if (i < 0 || static_cast<std::size_t>(i) >= servers_.size() ||
-        !killed_[static_cast<std::size_t>(i)]) {
-      return;
-    }
-    killed_[static_cast<std::size_t>(i)] = 0;
-    served = servers_[static_cast<std::size_t>(i)]->requests_served();
-  }
+void Deployment::revive_server(int i) {
+  // A server whose doors cannot reopen stays killed.
+  if (state(i) != State::kKilled || !open_member(i).is_ok()) return;
   // Announce the rejoin so health-ranked opens use the server again.
-  master_.heartbeat(server_address(i), served);
+  master_.heartbeat(server_address(i), server(i).requests_served());
 }
 
-bool PipeDeployment::server_killed(int i) const {
-  std::lock_guard lk(state_mu_);
-  return i >= 0 && static_cast<std::size_t>(i) < servers_.size() &&
-         killed_[static_cast<std::size_t>(i)];
+bool Deployment::server_killed(int i) const {
+  return state(i) == State::kKilled;
 }
 
-int PipeDeployment::add_server() {
+int Deployment::add_server() {
   int i;
   {
-    std::lock_guard lk(state_mu_);
-    i = static_cast<int>(servers_.size());
-    servers_.push_back(std::make_unique<BlockServer>(
-        "dpss-server-" + std::to_string(i), disk_, /*throttle=*/false,
-        cache_config_));
-    killed_.push_back(0);
+    // Under trace_mu_ so an export is attached before anyone can drain.
+    std::lock_guard tl(trace_mu_);
+    {
+      std::lock_guard lk(state_mu_);
+      i = static_cast<int>(members_.size());
+      members_.push_back({new_server(i), Doors{}, State::kClosed});
+    }
+    if (trace_sink_capacity_ > 0) {
+      server(i).set_logger(trace_logger(server(i).name()));
+    }
   }
-  servers_[static_cast<std::size_t>(i)]->set_peer_connector(
-      make_peer_connector());
-  master_.heartbeat(server_address(i), 0);
+  // Fresh doors; a server that cannot open them stays closed until the
+  // next open_all_doors().
+  if (open_member(i).is_ok()) master_.heartbeat(server_address(i), 0);
   return i;
 }
 
-void PipeDeployment::wipe_server(int i) {
+void Deployment::wipe_server(int i) {
   kill_server(i);
-  BlockServer* srv = nullptr;
-  {
-    std::lock_guard lk(state_mu_);
-    if (i < 0 || static_cast<std::size_t>(i) >= servers_.size()) return;
-    srv = servers_[static_cast<std::size_t>(i)].get();
-  }
-  srv->wipe();
+  if (i < 0 || i >= server_count()) return;
+  server(i).wipe();
   // A wiped disk is known-gone; no need to wait for failure reports.
   master_.health().mark_down(server_address(i));
 }
 
-void PipeDeployment::heartbeat_all(double now) {
-  std::vector<std::pair<int, std::uint64_t>> beats;
+void Deployment::heartbeat_all(double now) {
+  std::vector<std::pair<ServerAddress, std::uint64_t>> beats;
   std::vector<meta::GenerationFloor> floors;
   {
     std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (killed_[i]) continue;
-      beats.emplace_back(static_cast<int>(i), servers_[i]->requests_served());
+    for (const Member& m : members_) {
+      if (m.state != State::kServing) continue;
+      beats.emplace_back(m.doors.client, m.server->requests_served());
       // Gossip: each live server's per-dataset max generation rides its
       // heartbeat; the master ratchets them into floors for OpenReplys.
-      for (const auto& name : servers_[i]->dataset_names()) {
-        floors.push_back({name, servers_[i]->max_generation(name)});
+      for (const auto& name : m.server->dataset_names()) {
+        floors.push_back({name, m.server->max_generation(name)});
       }
     }
   }
-  for (const auto& [i, served] : beats) {
-    master_.heartbeat(server_address(i), served, now);
+  for (const auto& [addr, served] : beats) {
+    master_.heartbeat(addr, served, now);
   }
   master_.gossip().merge(floors);
 }
 
-void PipeDeployment::enable_auto_rebalance(double down_deadline_seconds) {
+core::Status Deployment::rebalance_dataset(const std::string& name) {
+  std::vector<ServerAddress> live;
+  {
+    std::lock_guard lk(state_mu_);
+    for (const Member& m : members_) {
+      if (m.state == State::kServing) live.push_back(m.doors.client);
+    }
+  }
+  // Hand the master the live membership and execute the plan against the
+  // block stores while the old map is still the one being served.
+  auto plan = master_.rebalance_dataset(
+      name, std::move(live), [this](const placement::RebalancePlan& p) {
+        return apply_rebalance_plan(
+            p, [this](const ServerAddress& a) { return server_for(a); });
+      });
+  return plan.is_ok() ? core::Status::ok() : plan.status();
+}
+
+void Deployment::enable_auto_rebalance(double down_deadline_seconds) {
   master_.enable_auto_rebalance(
       AutoRebalanceConfig{down_deadline_seconds},
       [this](const placement::RebalancePlan& plan) {
@@ -773,31 +775,36 @@ void PipeDeployment::enable_auto_rebalance(double down_deadline_seconds) {
       });
 }
 
-void PipeDeployment::enable_fixups() {
+void Deployment::enable_fixups() {
   master_.set_fixup_executor([this](const ingest::FixupTask& task) {
     return apply_fixup(task, master_,
                        [this](const ServerAddress& a) { return server_for(a); });
   });
 }
 
-void PipeDeployment::enable_trace_collection(std::size_t sink_capacity) {
+std::shared_ptr<netlog::NetLogger> Deployment::trace_logger(
+    const std::string& host) {
+  auto e = std::make_unique<TraceExport>();
+  e->host = host;
+  e->sink = std::make_shared<netlog::MemorySink>(trace_sink_capacity_);
+  auto logger = std::make_shared<netlog::NetLogger>(
+      core::global_real_clock(), host, "dpss", e->sink);
+  trace_exports_.push_back(std::move(e));
+  return logger;
+}
+
+void Deployment::enable_trace_collection(std::size_t sink_capacity) {
+  std::lock_guard tl(trace_mu_);
+  trace_sink_capacity_ = sink_capacity;
   trace_exports_.clear();
-  trace_exports_.push_back(make_trace_export(
-      "master", sink_capacity,
-      [this](std::shared_ptr<netlog::NetLogger> l) {
-        master_.set_logger(std::move(l));
-      }));
-  std::lock_guard lk(state_mu_);
-  for (auto& server : servers_) {
-    BlockServer* s = server.get();
-    trace_exports_.push_back(make_trace_export(
-        s->name(), sink_capacity, [s](std::shared_ptr<netlog::NetLogger> l) {
-          s->set_logger(std::move(l));
-        }));
+  master_.set_logger(trace_logger("master"));
+  for (int i = 0; i < server_count(); ++i) {
+    server(i).set_logger(trace_logger(server(i).name()));
   }
 }
 
-std::uint64_t PipeDeployment::export_spans() {
+std::uint64_t Deployment::export_spans() {
+  std::lock_guard tl(trace_mu_);
   std::uint64_t accepted = 0;
   for (auto& e : trace_exports_) {
     accepted += export_spans_to_master(master_, *e);
@@ -805,272 +812,275 @@ std::uint64_t PipeDeployment::export_spans() {
   return accepted;
 }
 
-BlockServer* PipeDeployment::server_for(const ServerAddress& addr) {
-  std::lock_guard lk(state_mu_);
-  if (addr.port >= servers_.size()) return nullptr;
-  return servers_[addr.port].get();
+// ---- pipe transport ----------------------------------------------------------
+
+PipeDeployment::PipeDeployment(int server_count, DiskModel disk,
+                               ServerCacheConfig cache)
+    : Deployment(server_count, disk, /*throttle=*/false, cache) {
+  open_all_doors();  // cannot fail: pipe doors are bookkeeping
 }
 
-core::Status PipeDeployment::rebalance_dataset(const std::string& name) {
-  std::vector<ServerAddress> live;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (!killed_[i]) live.push_back(server_address(static_cast<int>(i)));
-    }
-  }
-  return rebalance_live(master_, name, std::move(live),
-                        [this](const ServerAddress& a) { return server_for(a); });
+PipeDeployment::~PipeDeployment() { shutdown(); }
+
+core::Result<Deployment::Doors> PipeDeployment::open_doors(int i,
+                                                          const Doors&) {
+  const ServerAddress addr{"pipe-server-" + std::to_string(i),
+                           static_cast<std::uint16_t>(i)};
+  return Doors{addr, addr};
 }
 
-// ---- TCP deployment ----------------------------------------------------------
+core::Result<net::StreamPtr> PipeDeployment::connect(
+    const ServerAddress& addr) {
+  auto server = serving_server(addr);
+  if (!server.is_ok()) return server.status();
+  auto [near_end, far_end] = net::make_pipe();
+  server.value()->serve(far_end);
+  return near_end;
+}
+
+DpssClient PipeDeployment::make_client() {
+  auto [client_end, master_end] = net::make_pipe();
+  master().serve(master_end);
+  return DpssClient(client_end, [this](const ServerAddress& addr) {
+    return connect(addr);
+  });
+}
+
+// ---- TCP transport -----------------------------------------------------------
+
+// One block server's doors: the client door on its worker pool and the
+// peer door on an elastic pool, plus the collector exporting their stats
+// through the server's registry.  Declaration order is teardown order in
+// reverse: the pools outlive the doors that dispatch onto them.
+struct TcpDeployment::ServerDoors {
+  std::unique_ptr<core::ThreadPool> workers;
+  std::unique_ptr<core::ThreadPool> peer_workers;
+  std::unique_ptr<net::ReactorServer> front;
+  // Dedicated peer door: chain forwards and parity deltas from other
+  // servers land here on their own pool.  With a single shared pool per
+  // server, concurrent client writes can park every worker on a blocking
+  // peer exchange -- A's workers wait on B's replies while B's workers wait
+  // on A's, and the forwards that would unblock them sit queued behind the
+  // blocked workers forever.  Splitting the doors makes the wait graph
+  // acyclic: a forwarded hop always carries a strictly shorter chain tail,
+  // so peer-pool workers bottom out at a hop that completes locally.
+  std::unique_ptr<net::ReactorServer> peer_front;
+  std::uint64_t collector = 0;
+};
 
 TcpDeployment::TcpDeployment(int server_count, DiskModel disk, bool throttle,
                              ServerCacheConfig cache,
                              TcpDeploymentOptions options)
-    : options_(options) {
-  for (int i = 0; i < server_count; ++i) {
-    servers_.push_back(std::make_unique<BlockServer>(
-        "dpss-server-" + std::to_string(i), disk, throttle, cache));
-    killed_.push_back(0);
-  }
-  master_.set_generation_view(make_generation_view(
-      master_, [this](const ServerAddress& a) { return server_for(a); }));
-}
+    : Deployment(server_count, disk, throttle, cache), options_(options) {}
 
 TcpDeployment::~TcpDeployment() { stop(); }
 
 core::Status TcpDeployment::start() {
-  if (started_) return core::Status::ok();
+  if (auto st = open_master_door(); !st.is_ok()) return st;
+  return open_all_doors();
+}
 
-  if (options_.serve_mode == ServeMode::kReactor) {
-    // One shared pool of event loops fronts the master and every block
-    // server; connections are dealt round-robin across the loops.
-    reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
-    net::ReactorServerOptions ropts;
-    ropts.request_read_timeout_seconds = options_.request_read_timeout_seconds;
-    ropts.write_queue_cap_bytes = options_.write_queue_cap_bytes;
+core::Status TcpDeployment::open_master_door() {
+  if (master_front_) return core::Status::ok();
+  // One shared pool of event loops fronts the master and every block
+  // server; connections are dealt round-robin across the loops.
+  reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
 
-    // Master handlers are pure catalog/health bookkeeping -- they never
-    // block, so they run inline on the loops (workers = nullptr).
-    Master* master = &master_;
-    master_front_ = std::make_unique<net::ReactorServer>(
-        *reactors_,
-        [master](net::Message&& msg, std::uint64_t) {
-          return master->handle_request(std::move(msg));
-        },
-        ropts);
-    master_front_->set_read_timeout_observer(
-        [master] { master->note_read_timeout(); });
-    if (auto st = master_front_->listen(0); !st.is_ok()) return st;
+  // Master handlers are pure catalog/health bookkeeping -- they never
+  // block, so they run inline on the loops (workers = nullptr).
+  Master* master = &this->master();
+  auto front = std::make_unique<net::ReactorServer>(
+      *reactors_,
+      [master](net::Message&& msg, std::uint64_t) {
+        return master->handle_request(std::move(msg));
+      },
+      front_options());
+  front->set_read_timeout_observer([master] { master->note_read_timeout(); });
+  if (auto st = front->listen(0); !st.is_ok()) return st;
+  master_front_ = std::move(front);
 
-    for (auto& server : servers_) {
-      // Block-server handlers may forward down a replica chain, so each
-      // server offloads to its own worker pool; per-server pools keep a
-      // forwarded hop from starving the downstream server's inbound
-      // capacity.  Modelled disk reads hold no worker: the handler returns
-      // at once and its reply waits out the read on a loop timer.
-      worker_pools_.push_back(std::make_unique<core::ThreadPool>(
-          std::max(1, options_.worker_threads)));
-      BlockServer* srv = server.get();
-      auto handler = [srv](net::Message&& msg, std::uint64_t conn_id) {
-        return srv->dispatch(std::move(msg), conn_id);
-      };
-      core::ThreadPool* pool = worker_pools_.back().get();
-      // Feed the pool's per-task wait/run timings into registered
-      // histograms so the exposition carries p50/p95/p99 saturation
-      // quantiles for each server's worker pool.
-      obs::Histogram& wait_hist =
-          srv->metrics_registry().histogram("dpss_util_pool_task_wait_seconds");
-      obs::Histogram& run_hist =
-          srv->metrics_registry().histogram("dpss_util_pool_task_run_seconds");
-      pool->set_task_observer(
-          [&wait_hist, &run_hist](double wait_s, double run_s) {
-            wait_hist.observe(wait_s);
-            run_hist.observe(run_s);
-          });
-      // Block reads are independent of each other, so consecutive reads
-      // pipelined on one client connection overlap -- on the workers and
-      // on the modelled spindles, whichever allows more; writes and
-      // introspection stay barriers.  Peer doors keep strict serial
-      // dispatch.
-      net::ReactorServerOptions front_opts = ropts;
-      front_opts.overlappable = [](std::uint32_t type) {
-        return type == kBlockReadRequest;
-      };
-      front_opts.window = static_cast<std::size_t>(
-          std::max({1, options_.worker_threads, srv->disk_model().disks}));
-      auto front = std::make_unique<net::ReactorServer>(*reactors_, handler,
-                                                        front_opts, pool);
-      front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
-      if (auto st = front->listen(0); !st.is_ok()) return st;
-      addresses_.push_back(ServerAddress{"127.0.0.1", front->port()});
-      // Surface this server's front-door transport counters and worker
-      // pool USE gauges through its own kStats registry (removed in
-      // stop() before the front and pool die).
-      // Second door for server-to-server traffic, on an ELASTIC pool:
-      // client writes saturating the main pool must never starve an
-      // incoming chain forward, and a forward blocked on the next hop must
-      // never starve that hop's own forward (see the peer_fronts_ comment
-      // in the header).  Elasticity is what makes the argument hold at
-      // every chain depth: a peer task always gets a worker, so blocking
-      // chains bottom out at the terminal hop instead of deadlocking on
-      // pool capacity.
-      peer_pools_.push_back(std::make_unique<core::ThreadPool>(
-          std::max(1, options_.worker_threads), /*elastic=*/true));
-      core::ThreadPool* peer_pool = peer_pools_.back().get();
-      auto peer_front = std::make_unique<net::ReactorServer>(
-          *reactors_, handler, ropts, peer_pool);
-      if (auto st = peer_front->listen(0); !st.is_ok()) return st;
-      net::ReactorServer* front_raw = front.get();
-      server_collectors_.push_back(srv->metrics_registry().add_collector(
-          [front_raw, pool, peer_pool](std::vector<obs::Sample>& out) {
-            collect_front_stats("dpss_server_net", front_raw->stats(), out);
-            collect_pool_stats(pool->stats(), out);
-            collect_pool_stats(peer_pool->stats(), out,
-                               "dpss_util_peer_pool");
-          }));
-      server_fronts_.push_back(std::move(front));
-      peer_fronts_.push_back(std::move(peer_front));
-    }
-
-    // The master's exposition additionally carries the shared reactor
-    // pool's per-loop counters (labelled loop="N") and its own front door.
-    master_collector_ = master_.metrics_registry().add_collector(
-        [this](std::vector<obs::Sample>& out) {
-          const auto loops = reactor_stats();
-          for (std::size_t i = 0; i < loops.size(); ++i) {
-            const std::string label = "loop=\"" + std::to_string(i) + "\"";
-            auto emit = [&](const char* name, double v) {
-              out.push_back(obs::Sample{name, label, v});
-            };
-            emit("net_reactor_wakeups_total",
-                 static_cast<double>(loops[i].wakeups));
-            emit("net_reactor_fd_dispatches_total",
-                 static_cast<double>(loops[i].fd_dispatches));
-            emit("net_reactor_timers_fired_total",
-                 static_cast<double>(loops[i].timers_fired));
-            emit("net_reactor_tasks_run_total",
-                 static_cast<double>(loops[i].tasks_run));
-            emit("net_reactor_fds", static_cast<double>(loops[i].fds));
-            emit("net_reactor_timers_pending",
-                 static_cast<double>(loops[i].timers_pending));
-            emit("net_reactor_tasks_queued",
-                 static_cast<double>(loops[i].tasks_queued));
-            // USE view of the loop: busy fraction (utilization) and
-            // dispatch wait quantiles (saturation of the task queue).
-            emit("dpss_util_loop_busy_fraction", loops[i].busy_fraction());
-            emit("dpss_util_loop_busy_seconds", loops[i].busy_seconds);
-            emit("dpss_util_loop_idle_seconds", loops[i].idle_seconds);
-            const auto dw =
-                reactors_->at(static_cast<int>(i)).dispatch_wait();
-            emit("dpss_util_loop_dispatch_wait_seconds_count",
-                 static_cast<double>(dw.count));
-            emit("dpss_util_loop_dispatch_wait_seconds_p50", dw.p50());
-            emit("dpss_util_loop_dispatch_wait_seconds_p95", dw.p95());
-            emit("dpss_util_loop_dispatch_wait_seconds_p99", dw.p99());
-          }
-          double busy_max = 0.0;
-          for (const auto& l : loops)
-            busy_max = std::max(busy_max, l.busy_fraction());
-          out.push_back(
-              {"dpss_util_loop_busy_fraction_max", "", busy_max});
-          collect_front_stats("dpss_master_net", master_net_stats(), out,
-                              "master");
-        });
-  } else {
-    if (auto st = master_listener_.listen(0); !st.is_ok()) return st;
-    accept_threads_.emplace_back([this] {
-      for (;;) {
-        auto stream = master_listener_.accept();
-        if (!stream.is_ok()) return;
-        master_.serve(stream.value());
-      }
-    });
-    for (auto& server : servers_) {
-      auto listener = std::make_unique<net::TcpListener>();
-      if (auto st = listener->listen(0); !st.is_ok()) return st;
-      net::TcpListener* raw = listener.get();
-      BlockServer* srv = server.get();
-      accept_threads_.emplace_back([raw, srv] {
-        for (;;) {
-          auto stream = raw->accept();
-          if (!stream.is_ok()) return;
-          srv->serve(stream.value());
+  // The master's exposition additionally carries the shared reactor
+  // pool's per-loop counters (labelled loop="N") and its own front door.
+  master_collector_ = master->metrics_registry().add_collector(
+      [this](std::vector<obs::Sample>& out) {
+        const auto loops = reactor_stats();
+        for (std::size_t i = 0; i < loops.size(); ++i) {
+          const std::string label = "loop=\"" + std::to_string(i) + "\"";
+          auto emit = [&](const char* name, double v) {
+            out.push_back(obs::Sample{name, label, v});
+          };
+          emit("net_reactor_wakeups_total",
+               static_cast<double>(loops[i].wakeups));
+          emit("net_reactor_fd_dispatches_total",
+               static_cast<double>(loops[i].fd_dispatches));
+          emit("net_reactor_timers_fired_total",
+               static_cast<double>(loops[i].timers_fired));
+          emit("net_reactor_tasks_run_total",
+               static_cast<double>(loops[i].tasks_run));
+          emit("net_reactor_fds", static_cast<double>(loops[i].fds));
+          emit("net_reactor_timers_pending",
+               static_cast<double>(loops[i].timers_pending));
+          emit("net_reactor_tasks_queued",
+               static_cast<double>(loops[i].tasks_queued));
+          // USE view of the loop: busy fraction (utilization) and
+          // dispatch wait quantiles (saturation of the task queue).
+          emit("dpss_util_loop_busy_fraction", loops[i].busy_fraction());
+          emit("dpss_util_loop_busy_seconds", loops[i].busy_seconds);
+          emit("dpss_util_loop_idle_seconds", loops[i].idle_seconds);
+          const auto dw = reactors_->at(static_cast<int>(i)).dispatch_wait();
+          emit("dpss_util_loop_dispatch_wait_seconds_count",
+               static_cast<double>(dw.count));
+          emit("dpss_util_loop_dispatch_wait_seconds_p50", dw.p50());
+          emit("dpss_util_loop_dispatch_wait_seconds_p95", dw.p95());
+          emit("dpss_util_loop_dispatch_wait_seconds_p99", dw.p99());
         }
+        double busy_max = 0.0;
+        for (const auto& l : loops)
+          busy_max = std::max(busy_max, l.busy_fraction());
+        out.push_back({"dpss_util_loop_busy_fraction_max", "", busy_max});
+        collect_front_stats("dpss_master_net", master_net_stats(), out,
+                            "master");
       });
-      addresses_.push_back(ServerAddress{"127.0.0.1", listener->port()});
-      server_listeners_.push_back(std::move(listener));
-    }
-  }
-
-  // Chain forwarding and parity deltas travel plain loopback TCP, exactly
-  // like client traffic -- including the connect deadline, so a hop into a
-  // dead peer fails over instead of hanging the chain.  In reactor mode
-  // peers dial the target's dedicated peer door (the chain carries public
-  // addresses, so the connector rewrites them here).
-  const net::ConnectOptions copts = connect_options();
-  std::map<std::string, ServerAddress> peer_doors;
-  for (std::size_t i = 0; i < peer_fronts_.size(); ++i) {
-    peer_doors[addresses_[i].key()] =
-        ServerAddress{"127.0.0.1", peer_fronts_[i]->port()};
-  }
-  for (auto& server : servers_) {
-    server->set_peer_connector(
-        [copts,
-         peer_doors](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
-          const auto it = peer_doors.find(addr.key());
-          const ServerAddress& target =
-              it == peer_doors.end() ? addr : it->second;
-          return net::TcpStream::connect(target.host, target.port, copts);
-        });
-  }
-  started_ = true;
   return core::Status::ok();
 }
 
-void TcpDeployment::stop() {
-  if (!started_) return;
-  if (options_.serve_mode == ServeMode::kReactor) {
-    // Unregister the stats collectors before their backing fronts die.
-    if (master_collector_ != 0) {
-      master_.metrics_registry().remove_collector(master_collector_);
-      master_collector_ = 0;
+core::Result<Deployment::Doors> TcpDeployment::open_doors(int i,
+                                                         const Doors& at) {
+  if (auto st = open_master_door(); !st.is_ok()) return st;
+  std::unique_ptr<ServerDoors> old;
+  {
+    std::lock_guard lk(doors_mu_);
+    if (static_cast<std::size_t>(i) >= doors_.size()) {
+      doors_.resize(static_cast<std::size_t>(i) + 1);
     }
-    for (std::size_t i = 0; i < server_collectors_.size(); ++i) {
-      servers_[i]->metrics_registry().remove_collector(server_collectors_[i]);
-    }
-    server_collectors_.clear();
-    // close() waits until no handler is running or queued, so the servers
-    // and master the handlers capture outlive every dispatch.
-    if (master_front_) master_front_->close();
-    for (auto& f : server_fronts_) {
-      if (f) f->close();
-    }
-    for (auto& f : peer_fronts_) {
-      if (f) f->close();
-    }
-    master_front_.reset();
-    server_fronts_.clear();
-    peer_fronts_.clear();
-    worker_pools_.clear();
-    peer_pools_.clear();
-    reactors_.reset();
-  } else {
-    master_listener_.close();
-    for (auto& l : server_listeners_) l->close();
-    for (auto& t : accept_threads_) {
-      if (t.joinable()) t.join();
-    }
-    accept_threads_.clear();
+    old = std::move(doors_[static_cast<std::size_t>(i)]);
   }
-  master_.shutdown();
-  for (auto& s : servers_) s->shutdown();
-  started_ = false;
+  // A revive replaces the closed doors of the killed incarnation.
+  if (old) retire(i, *old);
+  const net::ReactorServerOptions ropts = front_options();
+  BlockServer* srv = &server(i);
+  auto handler = [srv](net::Message&& msg, std::uint64_t conn_id) {
+    return srv->dispatch(std::move(msg), conn_id);
+  };
+  auto d = std::make_unique<ServerDoors>();
+  // Block-server handlers may forward down a replica chain, so each server
+  // offloads to its own worker pool; per-server pools keep a forwarded hop
+  // from starving the downstream server's inbound capacity.  Modelled disk
+  // reads hold no worker: the handler returns at once and its reply waits
+  // out the read on a loop timer.
+  d->workers =
+      std::make_unique<core::ThreadPool>(std::max(1, options_.worker_threads));
+  core::ThreadPool* pool = d->workers.get();
+  // Feed the pool's per-task wait/run timings into registered histograms
+  // so the exposition carries p50/p95/p99 saturation quantiles for each
+  // server's worker pool.
+  obs::Histogram& wait_hist =
+      srv->metrics_registry().histogram("dpss_util_pool_task_wait_seconds");
+  obs::Histogram& run_hist =
+      srv->metrics_registry().histogram("dpss_util_pool_task_run_seconds");
+  pool->set_task_observer([&wait_hist, &run_hist](double wait_s, double run_s) {
+    wait_hist.observe(wait_s);
+    run_hist.observe(run_s);
+  });
+  // Block reads are independent of each other, so consecutive reads
+  // pipelined on one client connection overlap -- on the workers and on
+  // the modelled spindles, whichever allows more; writes and introspection
+  // stay barriers.  The peer door keeps strict serial dispatch.
+  net::ReactorServerOptions front_opts = ropts;
+  front_opts.overlappable = [](std::uint32_t type) {
+    return type == kBlockReadRequest;
+  };
+  front_opts.window = static_cast<std::size_t>(
+      std::max({1, options_.worker_threads, srv->disk_model().disks}));
+  d->front = std::make_unique<net::ReactorServer>(*reactors_, handler,
+                                                  front_opts, pool);
+  d->front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
+  if (auto st = d->front->listen(at.client.port); !st.is_ok()) return st;
+  // The peer door's pool is ELASTIC: client writes saturating the main
+  // pool must never starve an incoming chain forward, and a forward
+  // blocked on the next hop must never starve that hop's own forward (see
+  // ServerDoors::peer_front).  Elasticity is what makes the argument hold
+  // at every chain depth: a peer task always gets a worker, so blocking
+  // chains bottom out at the terminal hop instead of deadlocking on pool
+  // capacity.
+  d->peer_workers = std::make_unique<core::ThreadPool>(
+      std::max(1, options_.worker_threads), /*elastic=*/true);
+  core::ThreadPool* peer_pool = d->peer_workers.get();
+  d->peer_front = std::make_unique<net::ReactorServer>(*reactors_, handler,
+                                                       ropts, peer_pool);
+  if (auto st = d->peer_front->listen(at.peer.port); !st.is_ok()) return st;
+  // Surface this server's front-door transport counters and worker pool
+  // USE gauges through its own kStats registry (removed in retire() before
+  // the front and pools die).
+  net::ReactorServer* front = d->front.get();
+  d->collector = srv->metrics_registry().add_collector(
+      [front, pool, peer_pool](std::vector<obs::Sample>& out) {
+        collect_front_stats("dpss_server_net", front->stats(), out);
+        collect_pool_stats(pool->stats(), out);
+        collect_pool_stats(peer_pool->stats(), out, "dpss_util_peer_pool");
+      });
+  const Doors doors{ServerAddress{"127.0.0.1", d->front->port()},
+                    ServerAddress{"127.0.0.1", d->peer_front->port()}};
+  std::lock_guard lk(doors_mu_);
+  doors_[static_cast<std::size_t>(i)] = std::move(d);
+  return doors;
+}
+
+void TcpDeployment::close_doors(int i) {
+  ServerDoors* d = nullptr;
+  {
+    std::lock_guard lk(doors_mu_);
+    if (static_cast<std::size_t>(i) < doors_.size()) {
+      d = doors_[static_cast<std::size_t>(i)].get();
+    }
+  }
+  if (!d) return;
+  // close() waits until no handler is running or queued, so the server
+  // the handlers capture outlives every dispatch.
+  d->front->close();
+  d->peer_front->close();
+}
+
+void TcpDeployment::retire(int i, ServerDoors& doors) {
+  server(i).metrics_registry().remove_collector(doors.collector);
+  doors.front->close();
+  doors.peer_front->close();
+}
+
+net::ReactorServerOptions TcpDeployment::front_options() const {
+  net::ReactorServerOptions o;
+  o.request_read_timeout_seconds = options_.request_read_timeout_seconds;
+  o.write_queue_cap_bytes = options_.write_queue_cap_bytes;
+  return o;
+}
+
+core::Result<net::StreamPtr> TcpDeployment::connect(
+    const ServerAddress& addr) {
+  return net::TcpStream::connect(addr.host, addr.port, connect_options());
+}
+
+void TcpDeployment::stop() {
+  if (!master_front_) return;
+  // Unregister the stats collectors before their backing fronts die.
+  master().metrics_registry().remove_collector(master_collector_);
+  master_collector_ = 0;
+  master_front_->close();
+  std::vector<std::unique_ptr<ServerDoors>> doors;
+  {
+    std::lock_guard lk(doors_mu_);
+    doors.swap(doors_);
+  }
+  for (std::size_t i = 0; i < doors.size(); ++i) {
+    if (doors[i]) retire(static_cast<int>(i), *doors[i]);
+  }
+  doors.clear();
+  master_front_.reset();
+  reactors_.reset();
+  shutdown();
 }
 
 std::uint16_t TcpDeployment::master_port() const {
-  return master_front_ ? master_front_->port() : master_listener_.port();
+  return master_front_ ? master_front_->port() : 0;
 }
 
 std::vector<net::ReactorStats> TcpDeployment::reactor_stats() const {
@@ -1078,167 +1088,33 @@ std::vector<net::ReactorStats> TcpDeployment::reactor_stats() const {
 }
 
 net::ReactorServerStats TcpDeployment::server_net_stats(int i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= server_fronts_.size() ||
-      !server_fronts_[static_cast<std::size_t>(i)]) {
+  std::lock_guard lk(doors_mu_);
+  if (i < 0 || static_cast<std::size_t>(i) >= doors_.size() ||
+      !doors_[static_cast<std::size_t>(i)]) {
     return {};
   }
-  return server_fronts_[static_cast<std::size_t>(i)]->stats();
+  return doors_[static_cast<std::size_t>(i)]->front->stats();
 }
 
 net::ReactorServerStats TcpDeployment::master_net_stats() const {
   return master_front_ ? master_front_->stats() : net::ReactorServerStats{};
 }
 
-ServerAddress TcpDeployment::server_address(int i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= addresses_.size()) return {};
-  return addresses_[static_cast<std::size_t>(i)];
-}
-
-core::Status TcpDeployment::ingest(const vol::DatasetDesc& desc,
-                                   std::uint32_t block_bytes,
-                                   std::uint32_t stripe_blocks,
-                                   std::uint32_t replication_factor,
-                                   const codec::EcProfile& ec) {
-  if (!started_) {
-    if (auto st = start(); !st.is_ok()) return st;
-  }
-  std::vector<BlockServer*> raw;
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    raw.push_back(servers_[i].get());
-  }
-  return ingest_dataset(master_, std::move(raw), addresses_, desc,
-                        block_bytes, stripe_blocks, replication_factor, ec);
-}
-
 core::Result<DpssClient> TcpDeployment::make_client() {
-  if (!started_) {
+  if (!master_front_) {
     if (auto st = start(); !st.is_ok()) return st;
   }
   const net::ConnectOptions copts = connect_options();
   auto master_stream =
       net::TcpStream::connect("127.0.0.1", master_port(), copts);
   if (!master_stream.is_ok()) return master_stream.status();
+  // The connector captures only the options: a client may outlive the
+  // deployment.
   Connector connector =
       [copts](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
     return net::TcpStream::connect(addr.host, addr.port, copts);
   };
   return DpssClient(std::move(master_stream).take(), std::move(connector));
-}
-
-void TcpDeployment::kill_server(int i) {
-  {
-    std::lock_guard lk(state_mu_);
-    if (!started_ || i < 0 ||
-        static_cast<std::size_t>(i) >= servers_.size() ||
-        killed_[static_cast<std::size_t>(i)]) {
-      return;
-    }
-    killed_[static_cast<std::size_t>(i)] = 1;
-  }
-  // Stop the front door first (reactor close drains in-flight handlers;
-  // listener close wakes the accept thread), then shut the server down to
-  // drop its pooled peer links.
-  if (options_.serve_mode == ServeMode::kReactor) {
-    server_fronts_[static_cast<std::size_t>(i)]->close();
-    if (static_cast<std::size_t>(i) < peer_fronts_.size() &&
-        peer_fronts_[static_cast<std::size_t>(i)]) {
-      peer_fronts_[static_cast<std::size_t>(i)]->close();
-    }
-  } else {
-    server_listeners_[static_cast<std::size_t>(i)]->close();
-  }
-  servers_[static_cast<std::size_t>(i)]->shutdown();
-}
-
-bool TcpDeployment::server_killed(int i) const {
-  std::lock_guard lk(state_mu_);
-  return i >= 0 && static_cast<std::size_t>(i) < servers_.size() &&
-         killed_[static_cast<std::size_t>(i)];
-}
-
-void TcpDeployment::wipe_server(int i) {
-  kill_server(i);
-  if (i < 0 || static_cast<std::size_t>(i) >= servers_.size()) return;
-  servers_[static_cast<std::size_t>(i)]->wipe();
-  master_.health().mark_down(server_address(i));
-}
-
-void TcpDeployment::heartbeat_all(double now) {
-  std::vector<std::pair<int, std::uint64_t>> beats;
-  std::vector<meta::GenerationFloor> floors;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (killed_[i]) continue;
-      beats.emplace_back(static_cast<int>(i), servers_[i]->requests_served());
-      for (const auto& name : servers_[i]->dataset_names()) {
-        floors.push_back({name, servers_[i]->max_generation(name)});
-      }
-    }
-  }
-  for (const auto& [i, served] : beats) {
-    master_.heartbeat(server_address(i), served, now);
-  }
-  master_.gossip().merge(floors);
-}
-
-void TcpDeployment::enable_auto_rebalance(double down_deadline_seconds) {
-  master_.enable_auto_rebalance(
-      AutoRebalanceConfig{down_deadline_seconds},
-      [this](const placement::RebalancePlan& plan) {
-        return apply_rebalance_plan(
-            plan, [this](const ServerAddress& a) { return server_for(a); });
-      });
-}
-
-void TcpDeployment::enable_fixups() {
-  master_.set_fixup_executor([this](const ingest::FixupTask& task) {
-    return apply_fixup(task, master_,
-                       [this](const ServerAddress& a) { return server_for(a); });
-  });
-}
-
-void TcpDeployment::enable_trace_collection(std::size_t sink_capacity) {
-  trace_exports_.clear();
-  trace_exports_.push_back(make_trace_export(
-      "master", sink_capacity,
-      [this](std::shared_ptr<netlog::NetLogger> l) {
-        master_.set_logger(std::move(l));
-      }));
-  for (auto& server : servers_) {
-    BlockServer* s = server.get();
-    trace_exports_.push_back(make_trace_export(
-        s->name(), sink_capacity, [s](std::shared_ptr<netlog::NetLogger> l) {
-          s->set_logger(std::move(l));
-        }));
-  }
-}
-
-std::uint64_t TcpDeployment::export_spans() {
-  std::uint64_t accepted = 0;
-  for (auto& e : trace_exports_) {
-    accepted += export_spans_to_master(master_, *e);
-  }
-  return accepted;
-}
-
-BlockServer* TcpDeployment::server_for(const ServerAddress& addr) {
-  for (std::size_t i = 0; i < addresses_.size(); ++i) {
-    if (addresses_[i] == addr) return servers_[i].get();
-  }
-  return nullptr;
-}
-
-core::Status TcpDeployment::rebalance_dataset(const std::string& name) {
-  std::vector<ServerAddress> live;
-  {
-    std::lock_guard lk(state_mu_);
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (!killed_[i]) live.push_back(server_address(static_cast<int>(i)));
-    }
-  }
-  return rebalance_live(master_, name, std::move(live),
-                        [this](const ServerAddress& a) { return server_for(a); });
 }
 
 }  // namespace visapult::dpss

@@ -1,15 +1,18 @@
-// DPSS deployments: wiring master + servers + clients over a transport.
+// The DPSS deployment: master + block servers + clients, wired over a
+// transport.
 //
-// Two deployments of the same components:
+// One Deployment owns the components and every operational lever; a
+// transport only opens a server's doors, closes them, and connects to an
+// address.  Two transports:
 //   * PipeDeployment -- everything in-process over in-memory pipes; used by
 //     unit/integration tests and the quickstart example.
-//   * TcpDeployment -- master and servers listening on real loopback TCP
-//     ports with accept threads; used by the dpss_tool example and the
-//     socket integration tests.
+//   * TcpDeployment -- master and servers behind epoll front doors on real
+//     loopback TCP ports; used by the dpss_tool example, the benchmarks and
+//     the socket integration tests.
 //
-// Both provide ingest helpers that stripe a generated dataset across the
-// block servers and register it with the master -- the reproduction of
-// "migrate the files from HPSS to a nearby DPSS cache".  Ingesting with
+// ingest() stripes a generated dataset across the block servers and
+// registers it with the master -- the reproduction of "migrate the files
+// from HPSS to a nearby DPSS cache".  Ingesting with
 // `replication_factor > 1` places each block on that many servers via the
 // placement ring and writes every replica, enabling client failover.
 // Ingesting with an enabled codec::EcProfile instead erasure-codes: each
@@ -19,10 +22,10 @@
 //
 // Failure-scenario levers (the SimGrid-style kill / slow / rejoin
 // campaigns, live): kill_server() makes a server refuse service
-// mid-flight, revive_server() (pipes) brings it back, add_server() (pipes)
-// joins an empty server, heartbeat_all() pumps liveness+load beats into
-// the master, and rebalance_dataset() recomputes placement over the
-// currently live servers and executes the Rebalancer's copy/drop plan
+// mid-flight, revive_server() brings it back at the same address,
+// add_server() joins an empty server, heartbeat_all() pumps liveness+load
+// beats into the master, and rebalance_dataset() recomputes placement over
+// the currently live servers and executes the Rebalancer's copy/drop plan
 // against the block stores.
 #pragma once
 
@@ -33,7 +36,6 @@
 #include <vector>
 
 #include "codec/ec_profile.h"
-#include "core/thread_pool.h"
 #include "dpss/client.h"
 #include "dpss/master.h"
 #include "dpss/server.h"
@@ -62,17 +64,17 @@ struct TraceExport {
 // remote exporter's batch goes through).  Returns spans accepted.
 std::uint64_t export_spans_to_master(Master& master, TraceExport& e);
 
-class PipeDeployment {
+class Deployment {
  public:
-  // `server_count` block servers, all with the same disk model and memory
-  // tier configuration.
-  explicit PipeDeployment(int server_count, DiskModel disk = {},
-                          ServerCacheConfig cache = ServerCacheConfig());
-  ~PipeDeployment();
+  virtual ~Deployment() = default;
 
   Master& master() { return master_; }
-  BlockServer& server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
-  int server_count() const { return static_cast<int>(servers_.size()); }
+  BlockServer& server(int i) {
+    return *members_[static_cast<std::size_t>(i)].server;
+  }
+  int server_count() const;
+  // Address clients dial for server `i` (the one the catalog lists);
+  // empty until its doors have opened.
   ServerAddress server_address(int i) const;
 
   // Stripe `desc`'s timesteps into the store and register "<name>" with the
@@ -92,15 +94,14 @@ class PipeDeployment {
                                    const render::TransferFunction& tf,
                                    const ThumbnailOptions& options = {});
 
-  // New client with pipes to master and servers.
-  DpssClient make_client();
-
   // ---- failure scenarios ----
-  // Stop serving from server `i`: existing connections drop, new connects
-  // are refused.  The block store survives (a dead machine's disks are not
-  // wiped), so a later revive_server() or rebalance copy can read it.
+  // Stop serving from server `i`: its doors close, existing connections
+  // drop, new connects are refused.  The block store survives (a dead
+  // machine's disks are not wiped), so a later revive_server() or
+  // rebalance copy can read it.
   void kill_server(int i);
-  // Rejoin: accept connections again and heartbeat the master back to up.
+  // Rejoin: reopen the doors at the same address and heartbeat the master
+  // back to up.
   void revive_server(int i);
   bool server_killed(int i) const;
   // Join an empty server to the farm; returns its index.  Call
@@ -123,161 +124,185 @@ class PipeDeployment {
   // master().tick(now).
   void enable_fixups();
 
-  // ---- trace aggregation (PR 8) ----
+  // ---- trace aggregation ----
   // Attach a real-clock NetLogger (bounded MemorySink) to the master and
-  // every block server so traced requests leave lifeline events to export.
-  // Call before driving traced load.
+  // every block server, including servers added later, so traced requests
+  // leave lifeline events to export.  Call before driving traced load.
   void enable_trace_collection(std::size_t sink_capacity = 4096);
   // Drain every component's sink and ship the finished spans into the
   // master's SpanCollector; returns spans accepted.  Client-side sinks are
   // the caller's (see export_spans_to_master).
   std::uint64_t export_spans();
 
+ protected:
+  // `server_count` block servers, all with the same disk model and memory
+  // tier configuration; `throttle` enables the disk service-time model.
+  // The transport opens their doors (open_all_doors()).
+  Deployment(int server_count, DiskModel disk, bool throttle,
+             ServerCacheConfig cache);
+
+  // Where a server is reached: clients dial `client`, the address the
+  // catalog lists; other servers dial `peer` for chain forwards and parity
+  // deltas.
+  struct Doors {
+    ServerAddress client;
+    ServerAddress peer;
+  };
+
+  // ---- transport hooks ----
+  // Open server `i`'s doors.  `at` is where they listened last (empty the
+  // first time): a revive reopens the same addresses, so catalog entries
+  // and placement maps naming the server stay valid.
+  virtual core::Result<Doors> open_doors(int i, const Doors& at) = 0;
+  // Stop accepting on server `i`'s doors and drop their connections; waits
+  // until no handler of theirs is running.  Idempotent.
+  virtual void close_doors(int i) = 0;
+  // Open a stream to a server door.
+  virtual core::Result<net::StreamPtr> connect(const ServerAddress& addr) = 0;
+
+  // Open the doors of every server that is neither serving nor killed
+  // (ingest() calls it: the catalog lists client addresses).
+  core::Status open_all_doors();
+  // Shut the master and every server down: pipe service threads joined,
+  // pooled peer links dropped.  A transport calls it before it is
+  // destroyed, since a running service thread may still call connect().
+  void shutdown();
+  // The server whose client door is `addr`, if it is serving.
+  core::Result<BlockServer*> serving_server(const ServerAddress& addr) const;
+
  private:
+  enum class State { kClosed, kServing, kKilled };
+  struct Member {
+    std::unique_ptr<BlockServer> server;
+    Doors doors;
+    State state = State::kClosed;
+  };
+
+  std::unique_ptr<BlockServer> new_server(int i);
+  // Open server `i`'s doors where they listened last and mark it serving.
+  core::Status open_member(int i);
+  // Any recorded server by client address, serving or not (rebalance and
+  // fixup executors read a dead server's surviving store); null if none.
   BlockServer* server_for(const ServerAddress& addr);
-  // Transport the servers use to reach each other (chain forwarding and
-  // parity deltas); goes through the same liveness gate as client
-  // connects, so a hop into a killed server fails like a client would.
-  Connector make_peer_connector();
+  // Every server and its client address, in index order.
+  void snapshot(std::vector<BlockServer*>* servers,
+                std::vector<ServerAddress>* addresses) const;
+  // kClosed for an index out of range.
+  State state(int i) const;
+  // A NetLogger feeding a new trace export for `host` (caller holds
+  // trace_mu_).
+  std::shared_ptr<netlog::NetLogger> trace_logger(const std::string& host);
 
   Master master_;
   DiskModel disk_;
+  bool throttle_;
   ServerCacheConfig cache_config_;
-  // Guards servers_/killed_ membership against concurrent client connects
-  // and kill/revive/add (the failure-scenario tests exercise exactly that).
+  // Guards members_ against concurrent client connects and
+  // kill/revive/add.  Never held while calling into the master or a
+  // transport hook.
   mutable std::mutex state_mu_;
-  std::vector<std::unique_ptr<BlockServer>> servers_;
-  std::vector<char> killed_;
+  std::vector<Member> members_;
+  // Guards the trace exports and the sink capacity (0: collection off).
+  // Taken before state_mu_ when both are needed.
+  std::mutex trace_mu_;
+  std::size_t trace_sink_capacity_ = 0;
   std::vector<std::unique_ptr<TraceExport>> trace_exports_;
 };
 
-// How a TcpDeployment services connections.
-enum class ServeMode {
-  // Epoll event loops (net/reactor_server.h): a connection costs a buffer,
-  // not a thread, so one deployment absorbs thousands of clients -- the
-  // paper's massive fan-in.  The default.
-  kReactor,
-  // The historical one-thread-per-connection accept loops; kept as the
-  // baseline the connections-vs-throughput sweeps compare against.
-  kThreadPerConnection,
+class PipeDeployment : public Deployment {
+ public:
+  explicit PipeDeployment(int server_count, DiskModel disk = {},
+                          ServerCacheConfig cache = ServerCacheConfig());
+  ~PipeDeployment() override;
+
+  // New client with pipes to master and servers.
+  DpssClient make_client();
+
+ private:
+  // A pipe server's doors are its serving state: connect() hands out a
+  // fresh pipe while the server is serving and refuses once it is killed.
+  core::Result<Doors> open_doors(int i, const Doors& at) override;
+  void close_doors(int) override {}
+  core::Result<net::StreamPtr> connect(const ServerAddress& addr) override;
 };
 
 struct TcpDeploymentOptions {
-  ServeMode serve_mode = ServeMode::kReactor;
   // 0 -> one event loop per core (capped in ReactorPool).
   int reactor_loops = 0;
-  // Handler offload threads per block server (reactor mode).  Block-server
-  // handlers may block (chain forwarding to peers), so they never run on
-  // the event loops; per-server pools keep an A->B forward from competing
-  // with B's own inbound work.  Modelled disk reads are not handler time:
-  // their replies wait on loop timers.
+  // Handler offload threads per block server.  Block-server handlers may
+  // block (chain forwarding to peers), so they never run on the event
+  // loops; per-server pools keep an A->B forward from competing with B's
+  // own inbound work.  Modelled disk reads are not handler time: their
+  // replies wait on loop timers.
   int worker_threads = 4;
   // Outbound connects (clients and server-to-server peer links) fail with
   // kDeadlineExceeded after this long instead of hanging on a dead or
   // overloaded address; failover then tries the next replica.
   double connect_timeout_seconds = 5.0;
-  // Per-request read deadline on server connections (reactor mode): once a
-  // request's first byte arrives the rest must follow within this window
-  // or the connection is shed and counted.  0 disables.
+  // Per-request read deadline on server connections: once a request's
+  // first byte arrives the rest must follow within this window or the
+  // connection is shed and counted.  0 disables.
   double request_read_timeout_seconds = 10.0;
-  // Back-pressure cap per connection (reactor mode): un-drained reply
-  // bytes beyond this close the connection.
+  // Back-pressure cap per connection: un-drained reply bytes beyond this
+  // close the connection.
   std::size_t write_queue_cap_bytes = 4u << 20;
 };
 
-class TcpDeployment {
+class TcpDeployment : public Deployment {
  public:
-  // Starts listeners (reactor-backed or accept threads per `options`).
   // `throttle` enables the disk service-time model on the live servers.
+  // Nothing listens until start() (or the first ingest()/make_client()).
   TcpDeployment(int server_count, DiskModel disk = {}, bool throttle = false,
                 ServerCacheConfig cache = ServerCacheConfig(),
                 TcpDeploymentOptions options = {});
-  ~TcpDeployment();
+  ~TcpDeployment() override;
 
+  // Bring up the shared event loops and the master's door, then every
+  // server's doors.
   core::Status start();
   void stop();
 
-  Master& master() { return master_; }
-  BlockServer& server(int i) { return *servers_[static_cast<std::size_t>(i)]; }
-  int server_count() const { return static_cast<int>(servers_.size()); }
   std::uint16_t master_port() const;
-  ServerAddress server_address(int i) const;
-  ServeMode serve_mode() const { return options_.serve_mode; }
 
-  // ---- reactor introspection (empty / zero in thread mode) ----
+  // ---- reactor introspection (empty / zero before start) ----
   // Per-loop event counts for the shared ReactorPool.
   std::vector<net::ReactorStats> reactor_stats() const;
   // Connection/request/timeout counters for server `i`'s front door.
   net::ReactorServerStats server_net_stats(int i) const;
   net::ReactorServerStats master_net_stats() const;
 
-  core::Status ingest(const vol::DatasetDesc& desc,
-                      std::uint32_t block_bytes = kDefaultBlockBytes,
-                      std::uint32_t stripe_blocks = 1,
-                      std::uint32_t replication_factor = 1,
-                      const codec::EcProfile& ec = {});
-
   // New client connected over loopback TCP.
   core::Result<DpssClient> make_client();
 
-  // ---- failure scenarios ----
-  // Close server `i`'s listener and drop its connections mid-flight; the
-  // port stays reserved in the catalog so replica ranking can skip it.
-  void kill_server(int i);
-  // kill_server plus a block-store wipe (disk loss).
-  void wipe_server(int i);
-  bool server_killed(int i) const;
-  void heartbeat_all(double now = 0.0);
-  core::Status rebalance_dataset(const std::string& name);
-  void enable_auto_rebalance(double down_deadline_seconds);
-  void enable_fixups();
-
-  // ---- trace aggregation (PR 8) ----
-  // Same contract as PipeDeployment: real-clock NetLoggers on master and
-  // servers, then export_spans() drains them into the master's collector.
-  void enable_trace_collection(std::size_t sink_capacity = 4096);
-  std::uint64_t export_spans();
-
  private:
-  BlockServer* server_for(const ServerAddress& addr);
+  struct ServerDoors;
+
+  core::Result<Doors> open_doors(int i, const Doors& at) override;
+  void close_doors(int i) override;
+  core::Result<net::StreamPtr> connect(const ServerAddress& addr) override;
+
+  // The shared event loops and the master's front door; no-op once up.
+  core::Status open_master_door();
+  // Unregister a server's stats collector and close both its doors.
+  void retire(int i, ServerDoors& doors);
   net::ConnectOptions connect_options() const {
     return net::ConnectOptions{options_.connect_timeout_seconds};
   }
+  // Timeout and back-pressure settings every front door shares.
+  net::ReactorServerOptions front_options() const;
 
-  Master master_;
   TcpDeploymentOptions options_;
-  mutable std::mutex state_mu_;  // guards killed_
-  std::vector<std::unique_ptr<BlockServer>> servers_;
-  // Thread-per-connection mode.
-  net::TcpListener master_listener_;
-  std::vector<std::unique_ptr<net::TcpListener>> server_listeners_;
-  std::vector<std::thread> accept_threads_;
-  // Reactor mode.  Declaration order is teardown order in reverse: the
-  // pool and worker pools must outlive the servers built on them.
+  // Declaration order is teardown order in reverse: the loops must outlive
+  // every front door built on them.
   std::unique_ptr<net::ReactorPool> reactors_;
-  std::vector<std::unique_ptr<core::ThreadPool>> worker_pools_;
   std::unique_ptr<net::ReactorServer> master_front_;
-  std::vector<std::unique_ptr<net::ReactorServer>> server_fronts_;
-  // Dedicated peer doors (reactor mode): chain forwards and parity deltas
-  // from other servers land here on their own pools.  With a single shared
-  // pool per server, concurrent client writes can park every worker on a
-  // blocking peer exchange -- A's workers wait on B's replies while B's
-  // workers wait on A's, and the forwards that would unblock them sit
-  // queued behind the blocked workers forever.  Splitting the doors makes
-  // the wait graph acyclic: a forwarded hop always carries a strictly
-  // shorter chain tail, so peer-pool workers bottom out at a hop that
-  // completes locally.
-  std::vector<std::unique_ptr<core::ThreadPool>> peer_pools_;
-  std::vector<std::unique_ptr<net::ReactorServer>> peer_fronts_;
-  std::vector<ServerAddress> addresses_;
-  std::vector<char> killed_;
-  bool started_ = false;
-  // Collector handles registered into the master's / servers' metrics
-  // registries at start() (reactor-pool and front-door stats); removed in
-  // stop() before the fronts they read from are torn down.
+  // Collector registered into the master's metrics registry (reactor-pool
+  // and master front-door stats); removed before the front it reads dies.
   std::uint64_t master_collector_ = 0;
-  std::vector<std::uint64_t> server_collectors_;
-  std::vector<std::unique_ptr<TraceExport>> trace_exports_;
+  // Server i's doors, kept after a kill so their counters stay readable;
+  // replaced on revive.  doors_mu_ guards the vector.
+  mutable std::mutex doors_mu_;
+  std::vector<std::unique_ptr<ServerDoors>> doors_;
 };
 
 // Shared ingest logic: place the dataset blocks onto the given servers

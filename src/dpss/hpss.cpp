@@ -61,7 +61,7 @@ core::Result<double> HpssArchive::retrieval_seconds(const std::string& name) con
 
 core::Result<MigrationReport> migrate_to_dpss(HpssArchive& archive,
                                               const std::string& name,
-                                              PipeDeployment& cache,
+                                              Deployment& cache,
                                               std::uint32_t block_bytes) {
   // Whole-file retrieval from the archive (its only access mode)...
   double service = 0.0;
@@ -83,8 +83,7 @@ core::Result<MigrationReport> migrate_to_dpss(HpssArchive& archive,
 
   std::vector<ServerAddress> addrs;
   for (int i = 0; i < cache.server_count(); ++i) {
-    addrs.push_back(ServerAddress{"pipe-server-" + std::to_string(i),
-                                  static_cast<std::uint16_t>(i)});
+    addrs.push_back(cache.server_address(i));
   }
   const auto& data = bytes.value();
   for (std::uint64_t block = 0; block < layout.block_count(); ++block) {

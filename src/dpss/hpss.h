@@ -71,7 +71,7 @@ struct MigrationReport {
 // cache -- never against HPSS.
 core::Result<MigrationReport> migrate_to_dpss(HpssArchive& archive,
                                               const std::string& name,
-                                              PipeDeployment& cache,
+                                              Deployment& cache,
                                               std::uint32_t block_bytes = kDefaultBlockBytes);
 
 }  // namespace visapult::dpss

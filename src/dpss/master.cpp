@@ -116,10 +116,6 @@ core::Result<OpenReply> Master::lookup(const std::string& name,
                  : static_cast<std::uint32_t>(placement::kDefaultVnodes))
           : 0;
   reply.ec = entry.placement.ec;
-  {
-    std::lock_guard lk(mu_);
-    reply.ingest_capable = ingest_capable_;
-  }
   // Health/load snapshot taken outside mu_: the tracker has its own lock.
   reply.server_health.reserve(reply.servers.size());
   reply.server_load.reserve(reply.servers.size());
@@ -464,11 +460,6 @@ void Master::report_fixup(const ingest::FixupTask& task) {
   fixups_.push(task);
 }
 
-void Master::set_ingest_capable(bool capable) {
-  std::lock_guard lk(mu_);
-  ingest_capable_ = capable;
-}
-
 core::Status Master::enable_alerts(const std::vector<std::string>& rules) {
   for (const std::string& text : rules) {
     auto st = alerts_.add_rule(text);
@@ -618,12 +609,7 @@ void Master::shutdown() {
 void Master::service_loop(net::StreamPtr stream) {
   for (;;) {
     auto msg = net::recv_message(*stream);
-    if (!msg.is_ok()) {
-      if (msg.status().code() == core::StatusCode::kDeadlineExceeded) {
-        note_read_timeout();
-      }
-      return;
-    }
+    if (!msg.is_ok()) return;  // peer closed
     net::Message reply = handle_request(std::move(msg).take());
     if (auto st = net::send_message(*stream, reply); !st.is_ok()) return;
   }

@@ -184,17 +184,14 @@ class Master {
   std::uint64_t fixups_dropped() const { return fixups_dropped_.value(); }
   std::uint64_t fixups_enqueued() const { return fixups_.enqueued(); }
 
-  // Whether OpenReplys advertise the server-driven ingest pipeline.  Off
-  // models an old-mode deployment: clients fall back to client-fanout
-  // writes and refuse EC writes with a typed status.
-  void set_ingest_capable(bool capable);
-
   // ---- access control ----
   // With an empty ACL every token is accepted; otherwise the OPEN token
   // must be present in the set.
   void set_acl(std::set<std::string> allowed_tokens);
 
   // ---- service ----
+  // Blocking shim for in-memory pipes: one service thread per stream.  TCP
+  // deployments feed handle_request() from the reactor front door.
   void serve(net::StreamPtr stream);
   void shutdown();
 
@@ -282,11 +279,10 @@ class Master {
   AutoRebalanceConfig auto_config_;
   std::function<core::Status(const placement::RebalancePlan&)> auto_executor_;
   std::map<std::string, double> down_since_;
-  // Ingest pipeline state.  The queue has its own lock; the executor and
-  // capability flag are guarded by mu_.
+  // Ingest pipeline state.  The queue has its own lock; the executor is
+  // guarded by mu_.
   ingest::FixupQueue fixups_;
   std::function<core::Status(const ingest::FixupTask&)> fixup_executor_;
-  bool ingest_capable_ = true;
   std::vector<std::thread> threads_;
   std::vector<net::StreamPtr> streams_;
   // Metrics plane: registry_ precedes the instrument references it backs.

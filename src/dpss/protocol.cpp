@@ -53,7 +53,6 @@ net::Message encode_open_reply(const OpenReply& r) {
   w.u32(r.ring_vnodes);
   w.u32(r.ec.data_slices);
   w.u32(r.ec.parity_slices);
-  w.u8(r.ingest_capable ? 1 : 0);
   // Health/load snapshots are padded to the server count so the decoder
   // always gets parallel vectors.
   for (std::size_t i = 0; i < r.servers.size(); ++i) {
@@ -120,9 +119,6 @@ core::Result<OpenReply> decode_open_reply(const net::Message& m) {
   if (out.ec.data_slices == 0 || out.ec.total_slices() > 255) {
     return core::data_loss("EC profile outside GF(2^8) limits");
   }
-  auto capable = r.u8();
-  if (!capable.is_ok()) return capable.status();
-  out.ingest_capable = capable.value() != 0;
   for (std::uint32_t i = 0; i < n.value(); ++i) {
     auto health = r.u8();
     if (!health.is_ok()) return health.status();

@@ -132,13 +132,6 @@ struct OpenReply {
   // block's group.  Requires ring_vnodes > 0.
   codec::EcProfile ec;
 
-  // ---- ingest pipeline (PR 5) ----
-  // True when the deployment's servers speak kIngestWriteRequest (chain
-  // replication and parity-delta writes).  A client talking to an old-mode
-  // master falls back to the classic client-fanout write for replicated
-  // datasets and refuses EC writes with a typed kFailedPrecondition.
-  bool ingest_capable = true;
-
   // ---- sharded metadata plane (PR 9) ----
   // Epoch of the catalog entry this reply describes.  Clients cache the
   // reply per dataset keyed by this and send it back as

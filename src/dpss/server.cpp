@@ -605,14 +605,7 @@ void BlockServer::service_loop(net::StreamPtr stream) {
   const std::uint64_t conn_id = allocate_conn_id();
   for (;;) {
     auto msg = net::recv_message(*stream);
-    if (!msg.is_ok()) {
-      // A recv deadline (set by the deployment on TCP streams) counts as a
-      // shed stalled client, mirroring the reactor's read-timeout metric.
-      if (msg.status().code() == core::StatusCode::kDeadlineExceeded) {
-        note_read_timeout();
-      }
-      return;  // peer closed (or shed)
-    }
+    if (!msg.is_ok()) return;  // peer closed
     net::Message reply = handle_request(std::move(msg).take(), conn_id);
     if (auto st = net::send_message(*stream, reply); !st.is_ok()) return;
   }

@@ -173,8 +173,8 @@ class BlockServer {
   // Connection ids for callers driving requests by hand.
   std::uint64_t allocate_conn_id() { return next_conn_id_.fetch_add(1) + 1; }
 
-  // Per-request read timeouts the transport observed on this server's
-  // connections (stalled clients shed by the reactor or the blocking shim).
+  // Per-request read timeouts the reactor front door observed on this
+  // server's connections (stalled clients it shed).
   void note_read_timeout() { read_timeouts_.inc(); }
   std::uint64_t read_timeouts() const { return read_timeouts_.value(); }
 

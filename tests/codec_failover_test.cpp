@@ -244,29 +244,6 @@ TEST(CodecFailover, LossBeyondParityFailsCleanly) {
   EXPECT_FALSE(n.is_ok());
 }
 
-TEST(CodecFailover, EcWritesNeedTheIngestPipeline) {
-  // PR 5 opened dpssWrite to EC datasets via parity-delta writes; the
-  // blanket refusal survives only as a typed error against old-mode
-  // deployments that do not advertise the server-driven pipeline.
-  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
-  PipeDeployment deployment(4);
-  ASSERT_TRUE(deployment.ingest(desc, 8192, 1, 1, kEc22).is_ok());
-  std::vector<std::uint8_t> block(8192, 0xab);
-  {
-    auto client = deployment.make_client();
-    auto file = client.open(desc.name);
-    ASSERT_TRUE(file.is_ok());
-    EXPECT_TRUE(file.value()->write(block.data(), block.size()).is_ok());
-  }
-  deployment.master().set_ingest_capable(false);
-  auto client = deployment.make_client();
-  auto file = client.open(desc.name);
-  ASSERT_TRUE(file.is_ok());
-  const auto st = file.value()->write(block.data(), block.size());
-  EXPECT_FALSE(st.is_ok());
-  EXPECT_EQ(st.code(), core::StatusCode::kFailedPrecondition);
-}
-
 TEST(CodecRebalance, SliceLevelPlanAfterWipeReconstructsAndRestoresRedundancy) {
   vol::DatasetDesc desc = vol::small_combustion_dataset(2);
   PipeDeployment deployment(7);

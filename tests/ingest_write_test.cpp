@@ -1,8 +1,8 @@
 // Integration tests of the server-driven write pipeline over live
 // deployments: chain replication under each ack policy, generation
-// stamping through every cache tier, EC parity-delta writes, the typed
-// old-mode refusal, stale-replica read detection, and fixup-queue
-// recovery after a primary dies.
+// stamping through every cache tier, EC parity-delta writes,
+// stale-replica read detection, and fixup-queue recovery after a primary
+// dies.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -43,7 +43,6 @@ TEST(IngestWrite, ChainWriteLandsOnEveryReplicaWithOneClientCopy) {
   auto client = deployment.make_client();
   auto file = client.open(desc.name);
   ASSERT_TRUE(file.is_ok()) << file.status().to_string();
-  EXPECT_TRUE(file.value()->ingest_capable());
 
   const auto fresh = pattern_bytes(desc.total_bytes(), 7);
   ASSERT_TRUE(file.value()->write(fresh.data(), fresh.size()).is_ok());
@@ -260,53 +259,6 @@ TEST(IngestWrite, EcWriteWithDeadParityOwnerFixesUpTheParityBlock) {
   ASSERT_EQ(n.value(), buf.size());
   EXPECT_EQ(0, std::memcmp(buf.data(), fresh.data(), buf.size()));
   EXPECT_GT(rfile.value()->reconstructed_reads(), 0u);
-}
-
-TEST(IngestWrite, OldModeDeploymentRefusesEcWritesTyped) {
-  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
-  PipeDeployment deployment(4);
-  ASSERT_TRUE(
-      deployment.ingest(desc, kBlock, 1, 1, codec::EcProfile{2, 1}).is_ok());
-  deployment.master().set_ingest_capable(false);
-
-  auto client = deployment.make_client();
-  auto file = client.open(desc.name);
-  ASSERT_TRUE(file.is_ok());
-  EXPECT_FALSE(file.value()->ingest_capable());
-
-  const auto fresh = pattern_bytes(kBlock, 3);
-  auto st = file.value()->write(fresh.data(), fresh.size());
-  ASSERT_FALSE(st.is_ok());
-  EXPECT_EQ(st.code(), core::StatusCode::kFailedPrecondition);
-}
-
-TEST(IngestWrite, OldModeReplicatedWritesFallBackToFanout) {
-  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
-  PipeDeployment deployment(4);
-  ASSERT_TRUE(deployment.ingest(desc, kBlock, 1, 2).is_ok());
-  deployment.master().set_ingest_capable(false);
-
-  auto client = deployment.make_client();
-  auto file = client.open(desc.name);
-  ASSERT_TRUE(file.is_ok());
-
-  const auto fresh = pattern_bytes(desc.total_bytes(), 91);
-  ASSERT_TRUE(file.value()->write(fresh.data(), fresh.size()).is_ok());
-  // The fanout stamps generations too, so the cache tiers re-key the same
-  // way -- but no server-to-server forwarding happened.
-  auto map = deployment.master().placement_map(desc.name);
-  std::uint64_t forwards = 0;
-  for (int s = 0; s < deployment.server_count(); ++s) {
-    forwards += deployment.server(s).chain_forwards();
-  }
-  EXPECT_EQ(forwards, 0u);
-  for (std::uint64_t b = 0; b < map->block_count(); ++b) {
-    for (std::uint32_t s : map->replicas_for_block(b).servers) {
-      EXPECT_EQ(deployment.server(static_cast<int>(s))
-                    .block_generation(desc.name, b),
-                1u);
-    }
-  }
 }
 
 TEST(IngestWrite, OverwriteNeverServesStaleFromServerMemoryTier) {

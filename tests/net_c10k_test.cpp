@@ -84,9 +84,13 @@ TEST(NetC10k, ThousandsOfConcurrentReadersZeroErrors) {
     for (auto& t : drivers) t.join();
   }
   ASSERT_EQ(open_failures.load(), 0);
-  // Every reader holds one connection to the single block server.
-  EXPECT_GE(deployment.server_net_stats(0).active_conns,
-            static_cast<std::size_t>(kReaders));
+  // Every reader holds one connection to the single block server.  A
+  // connect returns once the kernel completes the handshake; the reactor
+  // accepts it a moment later, so the count is awaited, not sampled.
+  EXPECT_TRUE(test_support::wait_until([&] {
+    return deployment.server_net_stats(0).active_conns >=
+           static_cast<std::size_t>(kReaders);
+  })) << deployment.server_net_stats(0).active_conns << " of " << kReaders;
 
   // Phase 2: every reader preads a slice at an offset derived from its
   // index; all bytes must match the generated volume and nothing may fail.

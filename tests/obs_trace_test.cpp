@@ -2,7 +2,8 @@
 // replicated chain must reconstruct into a single ordered lifeline --
 // client span, primary, every chain hop, and the acks back out -- exactly
 // the paper's NLV per-request plot, and a sampling rate of zero must keep
-// the hot path silent.
+// the hot path silent.  A server joined after trace collection starts
+// exports its spans like the founding ones.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -210,6 +211,36 @@ TEST(ObsTrace, BoundedSinkDropsOldestAndCounts) {
   EXPECT_EQ(events.back().tag, "TAG9");
   sink.clear();
   EXPECT_EQ(sink.dropped(), 0u);
+}
+
+TEST(ObsTrace, ServerJoinedAfterCollectionStartsExportsItsSpans) {
+  PipeDeployment deployment(2);
+  deployment.enable_trace_collection();
+  const int joined = deployment.add_server();
+  BlockServer& server = deployment.server(joined);
+  server.put_block("joiner", 0, pattern_bytes(kBlock, 5));
+
+  // One traced request to the joined server.
+  BlockReadRequest req;
+  req.dataset = "joiner";
+  req.block = 0;
+  net::Message msg = encode_block_read_request(req);
+  msg.trace_id = obs::new_trace_id();
+  msg.span_id = obs::new_span_id();
+  const net::Message reply =
+      server.handle_request(std::move(msg), server.allocate_conn_id());
+  ASSERT_EQ(reply.type, kBlockReadReply);
+
+  EXPECT_GT(deployment.export_spans(), 0u);
+  auto& collector = deployment.master().span_collector();
+  collector.finalize_all();
+  bool joined_span = false;
+  for (const auto& tree : collector.trees()) {
+    for (const auto& span : tree.spans) {
+      if (span.host == server.name()) joined_span = true;
+    }
+  }
+  EXPECT_TRUE(joined_span);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "dpss/deployment.h"
 #include "support/test_support.h"
@@ -137,36 +140,74 @@ TEST(PlacementFailover, LoadRankingPrefersLeastLoadedReplica) {
   EXPECT_EQ(file.value()->per_server_blocks()[3], 0u);
 }
 
-TEST(PlacementFailover, RejoinAfterReviveServesAgain) {
+// ---- the same levers over both transports ----
+
+core::Result<DpssClient> new_client(PipeDeployment& d) {
+  return d.make_client();
+}
+core::Result<DpssClient> new_client(TcpDeployment& d) {
+  return d.make_client();
+}
+
+// Open `desc` on a fresh client and read it whole; `dead` receives the
+// servers the file marked dead.
+template <typename D>
+core::Result<std::vector<std::uint8_t>> read_whole(
+    D& deployment, const vol::DatasetDesc& desc,
+    std::vector<int>* dead = nullptr) {
+  auto client = new_client(deployment);
+  if (!client.is_ok()) return client.status();
+  auto file = client.value().open(desc.name);
+  if (!file.is_ok()) return file.status();
+  std::vector<std::uint8_t> buf(desc.total_bytes());
+  auto n = file.value()->read(buf.data(), buf.size());
+  if (!n.is_ok()) return n.status();
+  buf.resize(n.value());
+  if (dead) *dead = file.value()->dead_servers();
+  return buf;
+}
+
+template <typename D>
+class PlacementFailoverLevers : public ::testing::Test {
+ protected:
+  D deployment{3};
+};
+
+struct TransportName {
+  template <typename D>
+  static std::string GetName(int) {
+    return std::is_same_v<D, PipeDeployment> ? "Pipe" : "Tcp";
+  }
+};
+using Transports = ::testing::Types<PipeDeployment, TcpDeployment>;
+TYPED_TEST_SUITE(PlacementFailoverLevers, Transports, TransportName);
+
+TYPED_TEST(PlacementFailoverLevers, RejoinAfterReviveServesAgain) {
   vol::DatasetDesc desc = vol::small_combustion_dataset(2);
-  PipeDeployment deployment(3);
+  auto& deployment = this->deployment;
   ASSERT_TRUE(deployment.ingest(desc, 8192, 1, 2).is_ok());
 
   deployment.kill_server(0);
-  {
-    auto client = deployment.make_client();
-    auto file = client.open(desc.name);
-    ASSERT_TRUE(file.is_ok());
-    std::vector<std::uint8_t> buf(desc.total_bytes());
-    ASSERT_TRUE(file.value()->read(buf.data(), buf.size()).is_ok());
-  }
+  ASSERT_TRUE(deployment.server_killed(0));
+  ASSERT_TRUE(read_whole(deployment, desc).is_ok());
 
+  // The server comes back at the address the catalog lists.
+  const auto address = deployment.server_address(0);
   deployment.revive_server(0);
-  EXPECT_EQ(deployment.master().health().state(deployment.server_address(0)),
+  EXPECT_FALSE(deployment.server_killed(0));
+  EXPECT_EQ(deployment.server_address(0), address);
+  EXPECT_EQ(deployment.master().health().state(address),
             placement::HealthState::kUp);
-  auto client = deployment.make_client();
-  auto file = client.open(desc.name);
-  ASSERT_TRUE(file.is_ok());
-  EXPECT_TRUE(file.value()->dead_servers().empty());
-  std::vector<std::uint8_t> buf(desc.total_bytes());
-  ASSERT_TRUE(file.value()->read(buf.data(), buf.size()).is_ok());
-  EXPECT_EQ(expected_bytes(desc),
-            std::vector<std::uint8_t>(buf.begin(), buf.end()));
+  std::vector<int> dead;
+  auto bytes = read_whole(deployment, desc, &dead);
+  ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
+  EXPECT_TRUE(dead.empty());
+  EXPECT_EQ(expected_bytes(desc), bytes.value());
 }
 
-TEST(PlacementFailover, RebalanceOntoJoiningServer) {
+TYPED_TEST(PlacementFailoverLevers, RebalanceOntoJoiningServer) {
   vol::DatasetDesc desc = vol::small_combustion_dataset(2);
-  PipeDeployment deployment(3);
+  auto& deployment = this->deployment;
   ASSERT_TRUE(deployment.ingest(desc, 8192, 1, 2).is_ok());
 
   const int joined = deployment.add_server();
@@ -186,13 +227,11 @@ TEST(PlacementFailover, RebalanceOntoJoiningServer) {
         << "server " << s;
   }
 
-  auto client = deployment.make_client();
-  auto file = client.open(desc.name);
-  ASSERT_TRUE(file.is_ok());
-  std::vector<std::uint8_t> buf(desc.total_bytes());
-  ASSERT_TRUE(file.value()->read(buf.data(), buf.size()).is_ok());
-  EXPECT_EQ(expected_bytes(desc),
-            std::vector<std::uint8_t>(buf.begin(), buf.end()));
+  std::vector<int> dead;
+  auto bytes = read_whole(deployment, desc, &dead);
+  ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
+  EXPECT_TRUE(dead.empty());
+  EXPECT_EQ(expected_bytes(desc), bytes.value());
 }
 
 TEST(PlacementFailover, RebalanceAfterKillRestoresReplication) {
