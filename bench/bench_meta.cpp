@@ -115,8 +115,9 @@ std::unique_ptr<dpss::DpssClient> make_client(dpss::MetaCluster& cluster,
   dpss::Connector masters = master_connector(cluster, wan);
   auto stream = masters(cluster.address(0, 0));
   if (!stream.is_ok()) std::exit(1);
-  // open() dials every placement server; this bench never reads blocks,
-  // so hand out live pipe ends with nobody on the other side.
+  // open() checks out a connection to every placement server, dialling
+  // those with none idle in the client's pool; this bench never reads
+  // blocks, so hand out live pipe ends with nobody on the other side.
   dpss::Connector no_data =
       [](const dpss::ServerAddress&) -> core::Result<net::StreamPtr> {
     auto [client_end, server_end] = net::make_pipe();

@@ -1,9 +1,10 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
-// Used by the renderer's parallel drivers and by the DPSS client (one worker
-// per server, as in the paper: "the DPSS client library is multi-threaded,
-// where the number of client threads is equal to the number of DPSS
-// servers").
+// Used by the renderer's parallel engines, the block servers' handler
+// pools, the cache's read-ahead, and the DPSS client, where each pooled
+// server connection owns a one-thread pool as its I/O worker (as in the
+// paper: "the DPSS client library is multi-threaded, where the number of
+// client threads is equal to the number of DPSS servers").
 //
 // Utilization accounting: the pool tracks queue depth (with a high-water
 // mark) and per-task wait/run times against an injectable Clock.  core sits

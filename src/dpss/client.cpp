@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <future>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "core/clock.h"
 #include "ingest/chain.h"
@@ -14,9 +14,142 @@
 
 namespace visapult::dpss {
 
+// One pooled block-server connection: the stream, plus the I/O worker that
+// runs this connection's batch of an exchange while the caller runs
+// another.  The worker starts on first need and lives with the connection,
+// across every file that checks it out.
+struct ServerConn {
+  net::StreamPtr stream;
+  // Dialled for its current holder, or has answered it since checkout.
+  bool proven = true;
+  std::unique_ptr<core::ThreadPool> io;
+
+  ~ServerConn() { stream->close(); }
+};
+
+// Idle block-server connections by address, shared by a client and every
+// file it opened (files may outlive their client).  No cap: a connection
+// is either checked out by exactly one holder or idle here.
+class ServerPool {
+ public:
+  explicit ServerPool(Connector dial) : dial_(std::move(dial)) {}
+
+  // An idle connection to `addr`, else a fresh dial.
+  core::Result<std::unique_ptr<ServerConn>> checkout(
+      const ServerAddress& addr) {
+    {
+      std::lock_guard lk(mu_);
+      auto& idle = idle_[addr];
+      if (!idle.empty()) {
+        auto conn = std::move(idle.back());
+        idle.pop_back();
+        return conn;
+      }
+    }
+    auto stream = dial_(addr);
+    if (!stream.is_ok()) return stream.status();
+    auto conn = std::make_unique<ServerConn>();
+    conn->stream = std::move(stream).take();
+    return conn;
+  }
+
+  // Park a connection whose stream is in step (every reply read).
+  void checkin(const ServerAddress& addr, std::unique_ptr<ServerConn> conn) {
+    conn->proven = false;
+    std::lock_guard lk(mu_);
+    idle_[addr].push_back(std::move(conn));
+  }
+
+  // One server's share of an exchange.
+  struct Leg {
+    std::size_t server = 0;
+    ServerConn* conn = nullptr;
+    const ServerAddress* addr = nullptr;
+    std::size_t requests = 0;
+    core::Status status;
+  };
+
+  // Runs every leg concurrently -- each on its connection's I/O worker, the
+  // first on the calling thread.
+  void exchange(std::vector<Leg>& legs, const RequestSource& request,
+                const ReplySink& on_reply) {
+    std::vector<std::future<void>> done;
+    for (std::size_t i = 1; i < legs.size(); ++i) {
+      ServerConn& conn = *legs[i].conn;
+      if (!conn.io) conn.io = std::make_unique<core::ThreadPool>(1);
+      done.push_back(conn.io->submit([&, &leg = legs[i]] {
+        leg.status = run(leg, request, on_reply);
+      }));
+    }
+    if (!legs.empty()) legs[0].status = run(legs[0], request, on_reply);
+    for (auto& d : done) d.get();
+  }
+
+  // One request/reply on a connection checked out for the call: its only
+  // user, so no file's pipelined batches interleave with it.
+  core::Result<net::Message> roundtrip(const ServerAddress& addr,
+                                       const net::Message& request) {
+    auto conn = checkout(addr);
+    if (!conn.is_ok()) return conn.status();
+    Leg leg{0, conn.value().get(), &addr, 1, {}};
+    net::Message reply;
+    const core::Status st = run(
+        leg, [&request](std::size_t, std::size_t) { return request; },
+        [&reply](std::size_t, std::size_t, net::Message& m) {
+          reply = std::move(m);
+          return core::Status::ok();
+        });
+    if (!st.is_ok()) return st;
+    checkin(addr, std::move(conn).take());
+    return reply;
+  }
+
+ private:
+  // A pooled stream that fails before its first reply may have outlived
+  // its server's restart while it sat idle: it is redialled once and the
+  // batch re-sent.  Re-sending is safe even for writes -- that server end
+  // had closed, so nothing sent on the old stream was served.  Only a
+  // proven stream's failure counts.  noexcept: legs on other threads still
+  // use `legs`, so an exception must not unwind past exchange().
+  core::Status run(Leg& leg, const RequestSource& request,
+                   const ReplySink& on_reply) noexcept {
+    const core::Status st = pipeline(leg, request, on_reply);
+    if (st.is_ok() || leg.conn->proven) return st;
+    leg.conn->stream->close();
+    auto fresh = dial_(*leg.addr);
+    if (!fresh.is_ok()) return fresh.status();
+    leg.conn->stream = std::move(fresh).take();
+    leg.conn->proven = true;
+    return pipeline(leg, request, on_reply);
+  }
+
+  // Send every request, then read every reply.
+  static core::Status pipeline(Leg& leg, const RequestSource& request,
+                               const ReplySink& on_reply) noexcept {
+    net::ByteStream& stream = *leg.conn->stream;
+    for (std::size_t i = 0; i < leg.requests; ++i) {
+      const core::Status st = net::send_message(stream, request(leg.server, i));
+      if (!st.is_ok()) return st;
+    }
+    for (std::size_t i = 0; i < leg.requests; ++i) {
+      auto reply = net::recv_message(stream);
+      if (!reply.is_ok()) return reply.status();
+      leg.conn->proven = true;
+      const core::Status st = on_reply(leg.server, i, reply.value());
+      if (!st.is_ok()) return st;
+    }
+    return core::Status::ok();
+  }
+
+  const Connector dial_;
+  std::mutex mu_;
+  std::map<ServerAddress, std::vector<std::unique_ptr<ServerConn>>> idle_;
+};
+
 DpssClient::DpssClient(net::StreamPtr master, Connector connector)
     : master_(std::make_shared<MasterLink>()),
       connector_(std::move(connector)),
+      pool_(std::make_shared<ServerPool>(connector_)),
       meta_(std::make_shared<MetaState>()) {
   master_->stream = std::move(master);
 }
@@ -48,29 +181,17 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
   net::Message open_msg = encode_open_request(req);
   open_msg.trace_id = trace.trace_id;
   open_msg.span_id = trace.sampled() ? obs::new_span_id() : 0;
-  OpenReply open_reply;
   // The link the open went through also carries this file's failure and
   // fixup reports (sharded: the member that answered).
   std::shared_ptr<MasterLink> served = master_;
-  if (meta_->sharded) {
-    auto reply_msg = shard_roundtrip(meta_->shard_map.shard_for(dataset),
-                                     open_msg, dataset, &served);
-    if (!reply_msg.is_ok()) return reply_msg.status();
-    auto reply = decode_open_reply(reply_msg.value());
-    if (!reply.is_ok()) return reply.status();
-    open_reply = std::move(reply).take();
-  } else {
-    std::lock_guard lk(master_->mu);
-    if (auto st = net::send_message(*master_->stream, open_msg);
-        !st.is_ok()) {
-      return st;
-    }
-    auto msg = net::recv_message(*master_->stream);
-    if (!msg.is_ok()) return msg.status();
-    auto reply = decode_open_reply(msg.value());
-    if (!reply.is_ok()) return reply.status();
-    open_reply = std::move(reply).take();
-  }
+  auto reply_msg =
+      meta_->sharded ? shard_roundtrip(meta_->shard_map.shard_for(dataset),
+                                       open_msg, dataset, &served)
+                     : master_->roundtrip(open_msg);
+  if (!reply_msg.is_ok()) return reply_msg.status();
+  auto decoded = decode_open_reply(reply_msg.value());
+  if (!decoded.is_ok()) return decoded.status();
+  OpenReply open_reply = std::move(decoded).take();
   if (trace.sampled()) {
     open_logger_->log(netlog::tags::kDpssOpenEnd, -1, -1,
                       {{"TRACE", obs::trace_hex(trace.trace_id)},
@@ -118,53 +239,41 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
     ++meta_->snapshot_opens;
   }
 
-  // Failure and fixup reports ride the master connection; the shared link
-  // keeps it alive for files that outlive this client.
+  // Failure and fixup reports ride the master connection (best effort);
+  // the shared link keeps it alive for files that outlive this client.
   FailureReporter reporter = [link = served](const FailureReport& report) {
-    std::lock_guard lk(link->mu);
-    if (!link->stream) return;
-    if (!net::send_message(*link->stream, encode_failure_report(report))
-             .is_ok()) {
-      return;
-    }
-    (void)net::recv_message(*link->stream);  // best-effort ack
+    (void)link->roundtrip(encode_failure_report(report));
   };
   FixupReporter fixup_reporter = [link = served](const FixupReport& report) {
-    std::lock_guard lk(link->mu);
-    if (!link->stream) return;
-    if (!net::send_message(*link->stream, encode_fixup_report(report))
-             .is_ok()) {
-      return;
-    }
-    (void)net::recv_message(*link->stream);  // best-effort ack
+    (void)link->roundtrip(encode_fixup_report(report));
   };
 
   // A dead server is survivable whenever the dataset has redundancy --
   // replica copies or parity slices.
   const bool replicated =
       map && (open_reply.replication_factor > 1 || open_reply.ec.enabled());
-  std::vector<net::StreamPtr> streams;
-  streams.reserve(open_reply.servers.size());
+  std::vector<std::unique_ptr<ServerConn>> conns;
+  conns.reserve(open_reply.servers.size());
   int live = 0;
   for (const auto& addr : open_reply.servers) {
-    auto stream = connector_(addr);
-    if (!stream.is_ok()) {
-      if (!replicated) return stream.status();
+    auto conn = pool_->checkout(addr);
+    if (!conn.is_ok()) {
+      if (!replicated) return conn.status();
       // A dead server is survivable with replicas: mark it, tell the
       // master, and open degraded.
       reporter(FailureReport{addr, dataset, 0,
-                             "connect failed: " + stream.status().to_string()});
-      streams.push_back(nullptr);
+                             "connect failed: " + conn.status().to_string()});
+      conns.push_back(nullptr);
       continue;
     }
-    streams.push_back(std::move(stream).take());
+    conns.push_back(std::move(conn).take());
     ++live;
   }
   if (live == 0) {
     return core::unavailable("no block server reachable for " + dataset);
   }
   auto file = std::make_unique<DpssFile>(
-      dataset, open_reply.layout, std::move(streams),
+      dataset, open_reply.layout, pool_, std::move(conns),
       std::move(open_reply.servers), std::move(map),
       std::move(open_reply.server_health), std::move(open_reply.server_load),
       std::move(reporter), std::move(fixup_reporter));
@@ -260,14 +369,7 @@ core::Result<net::Message> DpssClient::shard_roundtrip(
       ++meta_->master_failovers;
       continue;
     }
-    core::Result<net::Message> got = [&]() -> core::Result<net::Message> {
-      std::lock_guard lk(link->mu);
-      if (!link->stream) return core::unavailable("master link closed");
-      if (auto st = net::send_message(*link->stream, msg); !st.is_ok()) {
-        return st;
-      }
-      return net::recv_message(*link->stream);
-    }();
+    core::Result<net::Message> got = link->roundtrip(msg);
     if (!got.is_ok()) {
       // Transport death mid-request: drop the stream so the next attempt
       // re-dials, and move on to the next member.
@@ -297,15 +399,7 @@ void DpssClient::report_master_failure(const std::shared_ptr<MasterLink>& via,
                                        const ServerAddress& dead,
                                        const std::string& dataset) {
   FailureReport report{dead, dataset, 0, "master unreachable from client"};
-  {
-    std::lock_guard lk(via->mu);
-    if (!via->stream) return;
-    if (!net::send_message(*via->stream, encode_failure_report(report))
-             .is_ok()) {
-      return;
-    }
-    (void)net::recv_message(*via->stream);  // best-effort ack
-  }
+  if (!via->roundtrip(encode_failure_report(report)).is_ok()) return;
   std::lock_guard lk(meta_->mu);
   ++meta_->master_failure_reports;
 }
@@ -317,22 +411,10 @@ core::Result<std::uint64_t> DpssClient::pull_deltas(std::uint32_t shard,
   req.dataset = dataset;
   req.since_epoch = since;
   const net::Message msg = encode_placement_delta_request(req);
-  net::Message reply_msg;
-  if (meta_->sharded) {
-    auto got = shard_roundtrip(shard, msg, dataset, nullptr);
-    if (!got.is_ok()) return got.status();
-    reply_msg = std::move(got).take();
-  } else {
-    std::lock_guard lk(master_->mu);
-    if (!master_->stream) return core::unavailable("master connection closed");
-    if (auto st = net::send_message(*master_->stream, msg); !st.is_ok()) {
-      return st;
-    }
-    auto got = net::recv_message(*master_->stream);
-    if (!got.is_ok()) return got.status();
-    reply_msg = std::move(got).take();
-  }
-  auto reply = decode_placement_delta_reply(reply_msg);
+  auto got = meta_->sharded ? shard_roundtrip(shard, msg, dataset, nullptr)
+                            : master_->roundtrip(msg);
+  if (!got.is_ok()) return got.status();
+  auto reply = decode_placement_delta_reply(got.value());
   if (!reply.is_ok()) return reply.status();
   // Entries are self-contained full-state records, so replaying a delta
   // run and installing a snapshot go through the same apply loop and
@@ -400,42 +482,29 @@ core::Result<std::uint64_t> DpssClient::sync_shard(std::uint32_t shard) {
   return epoch;
 }
 
+core::Result<net::Message> DpssClient::MasterLink::roundtrip(
+    const net::Message& msg) {
+  std::lock_guard lk(mu);
+  if (!stream) return core::unavailable("master connection closed");
+  if (auto st = net::send_message(*stream, msg); !st.is_ok()) return st;
+  return net::recv_message(*stream);
+}
+
 core::Result<std::string> DpssClient::master_stats() {
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream, encode_stats_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
+  auto msg = master_->roundtrip(encode_stats_request());
   if (!msg.is_ok()) return msg.status();
   return decode_stats_reply(msg.value());
 }
 
 core::Result<std::string> DpssClient::master_profile() {
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream, encode_profile_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
+  auto msg = master_->roundtrip(encode_profile_request());
   if (!msg.is_ok()) return msg.status();
   return decode_profile_reply(msg.value());
 }
 
 core::Result<std::string> DpssClient::server_profile(
     const ServerAddress& addr) {
-  // Throwaway connection, like server_stats(): profile pulls must not
-  // interleave with pipelined DpssFile streams.
-  auto stream = connector_(addr);
-  if (!stream.is_ok()) return stream.status();
-  auto conn = std::move(stream).take();
-  if (auto st = net::send_message(*conn, encode_profile_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*conn);
+  auto msg = pool_->roundtrip(addr, encode_profile_request());
   if (!msg.is_ok()) return msg.status();
   return decode_profile_reply(msg.value());
 }
@@ -452,47 +521,26 @@ core::Result<std::uint64_t> DpssClient::export_spans(
   batch.host = host;
   batch.sent_at = sent_at;
   batch.spans = spans;
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream,
-                                  encode_span_export_request(batch));
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
+  auto msg = master_->roundtrip(encode_span_export_request(batch));
   if (!msg.is_ok()) return msg.status();
   return decode_span_export_reply(msg.value());
 }
 
 core::Result<std::string> DpssClient::trace_report() {
-  std::lock_guard lk(master_->mu);
-  if (!master_->stream) return core::unavailable("master connection closed");
-  if (auto st = net::send_message(*master_->stream,
-                                  encode_trace_report_request());
-      !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*master_->stream);
+  auto msg = master_->roundtrip(encode_trace_report_request());
   if (!msg.is_ok()) return msg.status();
   return decode_trace_report_reply(msg.value());
 }
 
 core::Result<std::string> DpssClient::server_stats(const ServerAddress& addr) {
-  // A throwaway connection: stats pulls must not interleave with any
-  // DpssFile's pipelined request/reply streams.
-  auto stream = connector_(addr);
-  if (!stream.is_ok()) return stream.status();
-  auto conn = std::move(stream).take();
-  if (auto st = net::send_message(*conn, encode_stats_request()); !st.is_ok()) {
-    return st;
-  }
-  auto msg = net::recv_message(*conn);
+  auto msg = pool_->roundtrip(addr, encode_stats_request());
   if (!msg.is_ok()) return msg.status();
   return decode_stats_reply(msg.value());
 }
 
 DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
-                   std::vector<net::StreamPtr> server_streams,
+                   std::shared_ptr<ServerPool> pool,
+                   std::vector<std::unique_ptr<ServerConn>> conns,
                    std::vector<ServerAddress> addresses,
                    std::shared_ptr<const placement::PlacementMap> placement,
                    std::vector<placement::HealthState> server_health,
@@ -500,14 +548,15 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
                    FailureReporter reporter, FixupReporter fixup_reporter)
     : dataset_(std::move(dataset)),
       layout_(layout),
-      servers_(std::move(server_streams)),
+      pool_(std::move(pool)),
+      conns_(std::move(conns)),
       addresses_(std::move(addresses)),
       placement_(std::move(placement)),
       server_health_(std::move(server_health)),
       server_load_(std::move(server_load)),
       reporter_(std::move(reporter)),
       fixup_reporter_(std::move(fixup_reporter)),
-      per_server_blocks_(servers_.size(), 0),
+      per_server_blocks_(conns_.size(), 0),
       wire_bytes_(registry_.counter("dpss_client_wire_bytes_total")),
       raw_bytes_(registry_.counter("dpss_client_raw_bytes_total")),
       failover_reads_(registry_.counter("dpss_client_failover_reads_total")),
@@ -518,8 +567,8 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
           registry_.counter("dpss_client_stale_read_retries_total")),
       read_seconds_(registry_.histogram("dpss_client_read_seconds")),
       write_seconds_(registry_.histogram("dpss_client_write_seconds")) {
-  server_alive_.reserve(servers_.size());
-  for (const auto& s : servers_) server_alive_.push_back(s ? 1 : 0);
+  server_alive_.reserve(conns_.size());
+  for (const auto& c : conns_) server_alive_.push_back(c ? 1 : 0);
   if (placement_ && placement_->erasure_coded()) {
     ec_ = codec::StripeLayout(placement_);
     rs_ = std::make_unique<codec::ReedSolomon>(ec_.profile());
@@ -555,22 +604,9 @@ core::Result<std::size_t> DpssFile::pread(std::uint8_t* buf, std::size_t len,
   if (offset >= layout_.total_bytes) return std::size_t{0};
   const std::size_t effective = static_cast<std::size_t>(
       std::min<std::uint64_t>(len, layout_.total_bytes - offset));
-
-  std::vector<BlockRef> refs;
-  std::uint64_t at = offset;
-  std::size_t remaining = effective;
-  std::uint8_t* dest = buf;
-  while (remaining > 0) {
-    const std::uint64_t block = at / layout_.block_bytes;
-    const std::uint64_t in_block = at % layout_.block_bytes;
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, layout_.block_bytes - in_block));
-    refs.push_back(BlockRef{block, in_block, n, dest});
-    at += n;
-    dest += n;
-    remaining -= n;
+  if (auto st = read_extents({Extent{offset, effective, buf}}); !st.is_ok()) {
+    return st;
   }
-  if (auto st = fetch_blocks(std::move(refs)); !st.is_ok()) return st;
   return effective;
 }
 
@@ -613,7 +649,7 @@ const std::vector<std::uint32_t>& DpssFile::candidates_for_block(
 int DpssFile::pick_server(std::uint64_t block,
                           const std::set<std::size_t>* exclude) {
   auto usable = [&](std::uint32_t s) {
-    return s < servers_.size() && server_alive_[s] && servers_[s] &&
+    return s < conns_.size() && conns_[s] &&
            (!exclude || exclude->count(s) == 0);
   };
   if (!placement_) {
@@ -638,11 +674,54 @@ void DpssFile::mark_server_failed(std::size_t s, std::uint64_t block,
                                   const core::Status& status) {
   if (s >= server_alive_.size() || !server_alive_[s]) return;
   server_alive_[s] = 0;
-  if (servers_[s]) servers_[s]->close();
+  conns_[s].reset();  // a stream that saw an error never returns to the pool
   if (reporter_ && s < addresses_.size()) {
     reporter_(FailureReport{addresses_[s], dataset_, block,
                             status.to_string()});
   }
+}
+
+core::Status DpssFile::exchange(
+    const std::vector<std::vector<std::uint64_t>>& blocks,
+    const RequestSource& source, const ReplySink& on_reply) {
+  std::vector<ServerPool::Leg> legs;
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    if (blocks[s].empty()) continue;
+    if (!conns_[s]) return core::unavailable(dataset_ + " is closed");
+    legs.push_back(ServerPool::Leg{s, conns_[s].get(), &addresses_[s],
+                                   blocks[s].size(), {}});
+  }
+  const obs::TraceContext trace = active_trace_;
+  pool_->exchange(legs, [&](std::size_t s, std::size_t i) {
+    net::Message m = source(s, i);
+    if (trace.sampled()) {  // each request is its own hop on the trace
+      m.trace_id = trace.trace_id;
+      m.span_id = obs::new_span_id();
+    }
+    return m;
+  }, on_reply);
+  core::Status first_failure;
+  for (const ServerPool::Leg& leg : legs) {
+    if (leg.status.is_ok()) continue;
+    mark_server_failed(leg.server, blocks[leg.server].front(), leg.status);
+    if (first_failure.is_ok()) first_failure = leg.status;
+  }
+  return first_failure;
+}
+
+core::Result<BlockReadReply> DpssFile::take_block(const net::Message& msg) {
+  auto reply = decode_block_read_reply(msg);
+  if (!reply.is_ok()) return reply;
+  BlockReadReply& r = reply.value();
+  wire_bytes_.add(r.data.size());
+  if (r.compressed) {
+    auto raw = decompress_block(r.data);
+    if (!raw.is_ok()) return raw.status();
+    r.data = std::move(raw).take();
+    r.compressed = false;
+  }
+  raw_bytes_.add(r.data.size());
+  return reply;
 }
 
 core::Status DpssFile::fetch_wire_blocks(
@@ -666,7 +745,7 @@ core::Status DpssFile::fetch_wire_blocks(
 
   while (!pending.empty()) {
     // Assign every pending block to its best live replica.
-    std::vector<std::vector<std::uint64_t>> by_server(servers_.size());
+    std::vector<std::vector<std::uint64_t>> by_server(conns_.size());
     bool any_assigned = false;
     for (std::uint64_t b : pending) {
       const auto ex = stale_excluded.find(b);
@@ -691,68 +770,25 @@ core::Status DpssFile::fetch_wire_blocks(
     }
     if (!any_assigned) break;
 
-    // One worker thread per server, exactly as in the paper's client
-    // library.  Pipeline: send all requests, then receive.  A worker that
-    // fails keeps the replies it already collected (salvaged below) and
-    // leaves its remaining blocks for the next failover round.
-    std::vector<core::Status> statuses(servers_.size());
-    std::vector<std::map<std::uint64_t, Fetched>> per_server(servers_.size());
-    std::vector<std::thread> workers;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      if (by_server[s].empty()) continue;
-      workers.emplace_back([this, s, &by_server, &statuses, &per_server] {
-        net::ByteStream& stream = *servers_[s];
-        for (std::uint64_t b : by_server[s]) {
-          BlockReadRequest req;
-          req.dataset = dataset_;
-          req.block = b;
-          req.compression = compression_;
-          net::Message m = encode_block_read_request(req);
-          if (active_trace_.sampled()) {
-            // Each block request is its own hop on the client's trace.
-            m.trace_id = active_trace_.trace_id;
-            m.span_id = obs::new_span_id();
-          }
-          if (auto st = net::send_message(stream, m); !st.is_ok()) {
-            statuses[s] = st;
-            return;
-          }
-        }
-        for (std::size_t i = 0; i < by_server[s].size(); ++i) {
-          auto msg = net::recv_message(stream);
-          if (!msg.is_ok()) {
-            statuses[s] = msg.status();
-            return;
-          }
-          auto reply = decode_block_read_reply(msg.value());
-          if (!reply.is_ok()) {
-            statuses[s] = reply.status();
-            return;
-          }
-          wire_bytes_.add(reply.value().data.size());
-          std::vector<std::uint8_t> data;
-          if (reply.value().compressed) {
-            auto raw = decompress_block(reply.value().data);
-            if (!raw.is_ok()) {
-              statuses[s] = raw.status();
-              return;
-            }
-            data = std::move(raw).take();
-          } else {
-            data = std::move(reply.value().data);
-          }
-          raw_bytes_.add(data.size());
+    // A server that fails keeps the replies it already delivered (salvaged
+    // below) and leaves its remaining blocks for the next failover round.
+    std::vector<std::map<std::uint64_t, Fetched>> per_server(conns_.size());
+    const bool any_failed = !exchange(
+        by_server,
+        [&](std::size_t s, std::size_t i) {
+          return encode_block_read_request(
+              {dataset_, by_server[s][i], compression_});
+        },
+        [&](std::size_t s, std::size_t, net::Message& msg) -> core::Status {
+          auto reply = take_block(msg);
+          if (!reply.is_ok()) return reply.status();
           per_server[s][reply.value().block] =
-              Fetched{std::move(data), reply.value().generation};
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
+              Fetched{std::move(reply.value().data), reply.value().generation};
+          return core::Status::ok();
+        }).is_ok();
 
-    bool any_failed = false;
     bool any_stale = false;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      if (by_server[s].empty()) continue;
+    for (std::size_t s = 0; s < conns_.size(); ++s) {
       per_server_blocks_[s] += per_server[s].size();
       for (auto& [b, fetched] : per_server[s]) {
         // Stale-read detection: an acknowledged write established a floor
@@ -766,10 +802,6 @@ core::Status DpssFile::fetch_wire_blocks(
         }
         known_gens_.observe(dataset_, b, fetched.generation);
         (*received)[b] = std::move(fetched);
-      }
-      if (!statuses[s].is_ok()) {
-        any_failed = true;
-        mark_server_failed(s, by_server[s].front(), statuses[s]);
       }
     }
 
@@ -803,81 +835,37 @@ core::Status DpssFile::fetch_wire_blocks(
 bool DpssFile::fetch_slices(
     const std::vector<SliceFetch>& fetches,
     std::map<std::uint32_t, std::vector<std::uint8_t>>* out) {
-  // Group by server, pipeline per connection (one worker per server, like
-  // fetch_wire_blocks).  Replies are matched positionally: the service
-  // loop answers a connection's requests strictly in order.
-  std::vector<std::vector<const SliceFetch*>> by_server(servers_.size());
+  // Replies are matched positionally: the service loop answers a
+  // connection's requests strictly in order.
+  std::vector<std::vector<const SliceFetch*>> by_server(conns_.size());
+  std::vector<std::vector<std::uint64_t>> blocks(conns_.size());
   for (const SliceFetch& f : fetches) {
     by_server[f.server].push_back(&f);
+    blocks[f.server].push_back(f.block);
   }
-  std::vector<core::Status> statuses(servers_.size());
   std::vector<std::map<std::uint32_t, std::vector<std::uint8_t>>> per_server(
-      servers_.size());
-  std::vector<std::thread> workers;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
-    workers.emplace_back([this, s, &by_server, &statuses, &per_server] {
-      net::ByteStream& stream = *servers_[s];
-      for (const SliceFetch* f : by_server[s]) {
-        BlockReadRequest req;
-        req.dataset = f->dataset;
-        req.block = f->block;
-        req.compression = compression_;
-        net::Message m = encode_block_read_request(req);
-        if (active_trace_.sampled()) {
-          m.trace_id = active_trace_.trace_id;
-          m.span_id = obs::new_span_id();
+      conns_.size());
+  const bool clean = exchange(
+      blocks,
+      [&](std::size_t s, std::size_t i) {
+        const SliceFetch& f = *by_server[s][i];
+        return encode_block_read_request({f.dataset, f.block, compression_});
+      },
+      [&](std::size_t s, std::size_t i, net::Message& msg) -> core::Status {
+        auto reply = take_block(msg);
+        if (!reply.is_ok()) return reply.status();
+        const SliceFetch& f = *by_server[s][i];
+        if (reply.value().block != f.block) {
+          return core::data_loss("slice reply out of order");
         }
-        if (auto st = net::send_message(stream, m); !st.is_ok()) {
-          statuses[s] = st;
-          return;
-        }
-      }
-      for (const SliceFetch* f : by_server[s]) {
-        auto msg = net::recv_message(stream);
-        if (!msg.is_ok()) {
-          statuses[s] = msg.status();
-          return;
-        }
-        auto reply = decode_block_read_reply(msg.value());
-        if (!reply.is_ok()) {
-          statuses[s] = reply.status();
-          return;
-        }
-        if (reply.value().block != f->block) {
-          statuses[s] = core::data_loss("slice reply out of order");
-          return;
-        }
-        wire_bytes_.add(reply.value().data.size());
-        std::vector<std::uint8_t> data;
-        if (reply.value().compressed) {
-          auto raw = decompress_block(reply.value().data);
-          if (!raw.is_ok()) {
-            statuses[s] = raw.status();
-            return;
-          }
-          data = std::move(raw).take();
-        } else {
-          data = std::move(reply.value().data);
-        }
-        raw_bytes_.add(data.size());
-        per_server[s][f->slice] = std::move(data);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  bool all_ok = true;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (by_server[s].empty()) continue;
+        per_server[s][f.slice] = std::move(reply.value().data);
+        return core::Status::ok();
+      }).is_ok();
+  for (std::size_t s = 0; s < conns_.size(); ++s) {
     per_server_blocks_[s] += per_server[s].size();
     for (auto& [slice, data] : per_server[s]) (*out)[slice] = std::move(data);
-    if (!statuses[s].is_ok()) {
-      all_ok = false;
-      mark_server_failed(s, by_server[s].front()->block, statuses[s]);
-    }
   }
-  return all_ok;
+  return clean;
 }
 
 core::Status DpssFile::reconstruct_blocks(
@@ -926,7 +914,7 @@ core::Status DpssFile::reconstruct_blocks(
         }
         if (s >= owners.size()) break;
         const std::uint32_t srv = owners[s];
-        if (srv >= servers_.size() || !server_alive_[srv] || !servers_[srv]) {
+        if (srv >= conns_.size() || !conns_[srv]) {
           continue;
         }
         SliceFetch f;
@@ -1218,7 +1206,8 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
       std::vector<std::uint32_t> policy_skipped;       // replication
       std::vector<ingest::DeltaTarget> skipped_deltas; // EC
     };
-    std::vector<std::vector<Planned>> by_primary(servers_.size());
+    std::vector<std::vector<Planned>> by_primary(conns_.size());
+    std::vector<std::vector<std::uint64_t>> blocks(conns_.size());
     for (const PendingWrite& w : pending) {
       Planned plan;
       plan.w = w;
@@ -1278,46 +1267,26 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
         }
         plan.targets = 1;
       }
+      blocks[static_cast<std::size_t>(primary)].push_back(w.block);
       by_primary[static_cast<std::size_t>(primary)].push_back(std::move(plan));
     }
 
-    // One worker per primary, pipelined: send every request, then collect
-    // every reply (ack or error) positionally.
-    std::vector<core::Status> statuses(servers_.size());
+    // Every reply (ack or typed error) is kept positionally.
     std::vector<std::vector<core::Result<IngestWriteReply>>> replies(
-        servers_.size());
-    std::vector<std::thread> workers;
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      if (by_primary[s].empty()) continue;
-      workers.emplace_back([this, s, &by_primary, &statuses, &replies] {
-        net::ByteStream& stream = *servers_[s];
-        for (const Planned& plan : by_primary[s]) {
-          net::Message m = encode_ingest_write_request(plan.req);
-          if (active_trace_.sampled()) {
-            m.trace_id = active_trace_.trace_id;
-            m.span_id = obs::new_span_id();
-          }
-          if (auto st = net::send_message(stream, m); !st.is_ok()) {
-            statuses[s] = st;
-            return;
-          }
-        }
-        for (std::size_t i = 0; i < by_primary[s].size(); ++i) {
-          auto msg = net::recv_message(stream);
-          if (!msg.is_ok()) {
-            statuses[s] = msg.status();
-            return;
-          }
-          replies[s].push_back(decode_ingest_write_reply(msg.value()));
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
+        conns_.size());
+    const core::Status failure = exchange(
+        blocks,
+        [&](std::size_t s, std::size_t i) {
+          return encode_ingest_write_request(by_primary[s][i].req);
+        },
+        [&](std::size_t s, std::size_t, net::Message& msg) {
+          replies[s].push_back(decode_ingest_write_reply(msg));
+          return core::Status::ok();
+        });
 
     std::vector<PendingWrite> still;
     core::Status typed_error;  // first per-block error reply, if any
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      if (by_primary[s].empty()) continue;
+    for (std::size_t s = 0; s < by_primary.size(); ++s) {
       for (std::size_t i = 0; i < by_primary[s].size(); ++i) {
         const Planned& plan = by_primary[s][i];
         if (i < replies[s].size() && replies[s][i].is_ok()) {
@@ -1356,16 +1325,11 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
           still.push_back(plan.w);
         }
       }
-      if (!statuses[s].is_ok()) {
-        mark_server_failed(s, by_primary[s].front().w.block, statuses[s]);
-      }
     }
     if (!typed_error.is_ok()) return typed_error;
     if (still.size() == pending.size()) {
       // No progress: every primary failed and nothing was written.
-      for (std::size_t s = 0; s < servers_.size(); ++s) {
-        if (!statuses[s].is_ok()) return statuses[s];
-      }
+      if (!failure.is_ok()) return failure;
       return core::unavailable("ingest write acknowledged by no server");
     }
     pending = std::move(still);
@@ -1425,11 +1389,12 @@ void DpssFile::enable_tracing(std::shared_ptr<netlog::NetLogger> logger,
 }
 
 void DpssFile::close() {
-  // Drain read-ahead before tearing down the streams it fetches over.
+  // Drain read-ahead before handing back the connections it fetches over.
   prefetcher_.reset();
   ra_pool_.reset();
-  for (auto& s : servers_) {
-    if (s) s->close();
+  std::lock_guard lk(wire_mu_);
+  for (std::size_t s = 0; s < conns_.size(); ++s) {
+    if (conns_[s]) pool_->checkin(addresses_[s], std::move(conns_[s]));
   }
 }
 

@@ -7,10 +7,13 @@
 // where the number of client threads is equal to the number of DPSS
 // servers." (section 3.5)
 //
-// DpssClient talks to the master to resolve a dataset, then DpssFile opens
-// one connection *per block server* and fans block requests out with one
-// worker thread per server -- the client-side parallelism Visapult's
-// back-end PEs leverage for their parallel loads.
+// DpssClient talks to the master to resolve a dataset, then DpssFile checks
+// one connection *per block server* out of the client's pool (dialling only
+// when none is idle) and returns them at close, so browsing dataset after
+// dataset connects to each server once.  Block requests fan out across the
+// servers concurrently, each pooled connection's long-lived I/O worker
+// running its server's batch while the caller runs one -- the client-side
+// parallelism Visapult's back-end PEs leverage for their parallel loads.
 //
 // Replica-aware datasets (OpenReply.ring_vnodes > 0) add failover: the
 // client rebuilds the placement ring locally, ranks each block's replicas
@@ -86,16 +89,27 @@ using FailureReporter = std::function<void(const FailureReport&)>;
 using FixupReporter = std::function<void(const FixupReport&)>;
 
 class DpssFile;
+class ServerPool;   // idle block-server connections (client.cpp)
+struct ServerConn;  // one pooled connection and its I/O worker
+
+// An exchange's two callbacks, run on the thread that serves server `s`:
+// the source encodes its i-th request, the sink consumes that request's
+// reply (an error from the sink fails the server's batch).
+using RequestSource = std::function<net::Message(std::size_t s, std::size_t i)>;
+using ReplySink =
+    std::function<core::Status(std::size_t s, std::size_t i, net::Message&)>;
 
 class DpssClient {
  public:
   // `master` is an established connection to the DPSS master.
   DpssClient(net::StreamPtr master, Connector connector);
 
-  // dpssOpen(): resolve the dataset and connect to its servers.  For a
-  // replicated dataset a dead server is tolerated at open time (it is
-  // marked down locally and reported); with a single copy every server
-  // must connect, as before.
+  // dpssOpen(): resolve the dataset and check one connection per server out
+  // of this client's pool, dialling only servers with none idle.  For a
+  // replicated dataset a failed dial is tolerated (the server is marked
+  // down locally and reported); with a single copy every dial must succeed.
+  // A pooled connection whose server restarted while it sat idle is
+  // redialled on its first use.
   core::Result<std::unique_ptr<DpssFile>> open(const std::string& dataset,
                                                const std::string& auth_token = "");
 
@@ -167,6 +181,8 @@ class DpssClient {
   struct MasterLink {
     net::StreamPtr stream;
     std::mutex mu;
+    // One request/reply; kUnavailable once the stream was dropped.
+    core::Result<net::Message> roundtrip(const net::Message& msg);
   };
   // Cached open state for one dataset: the last full reply's placement
   // body plus the shared map, spliced back in when the master answers
@@ -196,6 +212,7 @@ class DpssClient {
 
   std::shared_ptr<MasterLink> master_;
   Connector connector_;
+  std::shared_ptr<ServerPool> pool_;
   std::shared_ptr<netlog::NetLogger> open_logger_;
 
   // Sharded metadata state, heap-held so the client stays movable (the
@@ -234,9 +251,12 @@ struct ReadaheadOptions {
 
 class DpssFile {
  public:
+  // `conns[s]` is checked out of `pool` for `addresses[s]` (null: the
+  // server could not be reached at open).
   DpssFile(std::string dataset, DatasetLayout layout,
-           std::vector<net::StreamPtr> server_streams,
-           std::vector<ServerAddress> addresses = {},
+           std::shared_ptr<ServerPool> pool,
+           std::vector<std::unique_ptr<ServerConn>> conns,
+           std::vector<ServerAddress> addresses,
            std::shared_ptr<const placement::PlacementMap> placement = nullptr,
            std::vector<placement::HealthState> server_health = {},
            std::vector<std::uint64_t> server_load = {},
@@ -246,7 +266,7 @@ class DpssFile {
 
   const DatasetLayout& layout() const { return layout_; }
   std::uint64_t size() const { return layout_.total_bytes; }
-  int server_count() const { return static_cast<int>(servers_.size()); }
+  int server_count() const { return static_cast<int>(conns_.size()); }
 
   // dpssLSeek(): returns the new offset, or < 0 on bad seek.
   std::int64_t lseek(std::int64_t offset, Whence whence = Whence::kSet);
@@ -254,7 +274,7 @@ class DpssFile {
 
   // dpssRead(): read up to `len` bytes at the current offset, advancing it.
   // Short reads happen only at end of dataset.  Blocks are fetched from all
-  // owning servers in parallel (one thread per server).
+  // owning servers in parallel (each server's batch concurrently).
   core::Result<std::size_t> read(std::uint8_t* buf, std::size_t len);
 
   // Positional read; does not move the file offset.
@@ -289,7 +309,8 @@ class DpssFile {
   void set_ack_policy(ingest::AckPolicy policy) { ack_policy_ = policy; }
   ingest::AckPolicy ack_policy() const { return ack_policy_; }
 
-  // dpssClose(): close all server connections.
+  // dpssClose(): hand the server connections back to the client's pool;
+  // those of servers this file marked dead were closed when they failed.
   void close();
 
   // Total blocks fetched per server (load-balance introspection).
@@ -390,8 +411,18 @@ class DpssFile {
     std::uint64_t generation = 0;
   };
   core::Status fetch_blocks(std::vector<BlockRef> refs);
-  // Fetch whole blocks from their owning servers, one worker per server,
-  // pipelined; on a server failure the affected blocks retry against the
+  // The one block-server fan-out: server s is sent one request per entry
+  // of blocks[s] (the block it names), stamped with the active trace and
+  // pipelined, all servers concurrently.  A server whose batch fails is
+  // marked dead (reported against its first block), keeping the replies
+  // that came before.  Returns the first failure.  Caller holds wire_mu_.
+  core::Status exchange(const std::vector<std::vector<std::uint64_t>>& blocks,
+                        const RequestSource& source, const ReplySink& on_reply);
+  // Decode a block reply, decompressing it when the server did, and count
+  // its wire and raw bytes.
+  core::Result<BlockReadReply> take_block(const net::Message& msg);
+  // Fetch whole blocks from their owning servers in one exchange per
+  // round; on a server failure the affected blocks retry against the
   // next live replica (or, erasure-coded, fall through to reconstruction).
   // A replica answering with a generation older than an acknowledged write
   // is skipped for that block and the fetch retried on the next replica.
@@ -419,7 +450,7 @@ class DpssFile {
 
   // ---- write paths (all hold wire_mu_) ----
   // Server-driven pipeline: one IngestWriteRequest per block to its
-  // primary, pipelined per primary connection.
+  // primary, pipelined per primary connection in one exchange per round.
   core::Status write_chain(std::uint64_t first_block,
                            const std::uint8_t* src, std::size_t len);
   // Bookkeeping for one acknowledged ingest write: learn the generation,
@@ -445,7 +476,10 @@ class DpssFile {
 
   std::string dataset_;
   DatasetLayout layout_;
-  std::vector<net::StreamPtr> servers_;
+  std::shared_ptr<ServerPool> pool_;
+  // One checked-out connection per server; null once the server is marked
+  // dead (its stream is closed, never pooled) or the file is closed.
+  std::vector<std::unique_ptr<ServerConn>> conns_;
   std::vector<ServerAddress> addresses_;
   std::shared_ptr<const placement::PlacementMap> placement_;
   std::vector<placement::HealthState> server_health_;

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "dpss/deployment.h"
 #include "support/test_support.h"
@@ -43,6 +45,75 @@ TEST(DpssTcp, MultipleSequentialClients) {
     ASSERT_TRUE(file.is_ok());
     std::vector<std::uint8_t> buf(1024);
     EXPECT_TRUE(file.value()->pread(buf.data(), buf.size(), 0).is_ok());
+  }
+  deployment.stop();
+}
+
+// A browsing client opens dataset after dataset: open checks the server
+// connections out of the client's pool and close hands them back, so each
+// server accepts one connection, not one per open.
+TEST(DpssTcp, OneClientReusesServerConnectionsAcrossOpens) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  TcpDeployment deployment(3);
+  ASSERT_TRUE(deployment.start().is_ok());
+  ASSERT_TRUE(deployment.ingest(desc, 8192).is_ok());
+  auto client = deployment.make_client();
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  const vol::Volume v = desc.generate(0);
+  std::vector<std::uint8_t> buf(v.byte_size());
+  for (int i = 0; i < 20; ++i) {
+    auto file = client.value().open(desc.name);
+    ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+    auto n = file.value()->pread(buf.data(), buf.size(), 0);
+    ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+    ASSERT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
+    file.value()->close();
+  }
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    EXPECT_EQ(deployment.server_net_stats(i).accepted, 1u) << "server " << i;
+  }
+  deployment.stop();
+}
+
+// Threads sharing one client share its pool: every read is exact, and no
+// server holds more connections than there were files open at once.
+TEST(DpssTcp, ThreadsSharingOneClientShareItsPool) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  TcpDeployment deployment(3);
+  ASSERT_TRUE(deployment.start().is_ok());
+  ASSERT_TRUE(deployment.ingest(desc, 8192).is_ok());
+  auto client = deployment.make_client();
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  const vol::Volume v = desc.generate(0);
+  const auto* expect = reinterpret_cast<const std::uint8_t*>(v.data().data());
+  constexpr int kThreads = 4;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<std::uint8_t> buf(v.byte_size());
+      for (int i = 0; i < 25; ++i) {
+        auto file = client.value().open(desc.name);
+        if (!file.is_ok()) {
+          bad.fetch_add(1);
+          continue;
+        }
+        auto n = file.value()->pread(buf.data(), buf.size(), 0);
+        if (!n.is_ok() || n.value() != buf.size() ||
+            std::memcmp(buf.data(), expect, buf.size()) != 0) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    EXPECT_LE(deployment.server_net_stats(i).accepted,
+              static_cast<std::uint64_t>(kThreads))
+        << "server " << i;
   }
   deployment.stop();
 }

@@ -32,6 +32,29 @@ int healthy_primary(const placement::PlacementMap& map, std::uint64_t block) {
   return ingest::plan_chain(map.replicas_for_block(block), {}, {}).primary;
 }
 
+// close() hands the file's connections back to the client's pool: later
+// writes and reads fail cleanly, and no healthy server is reported to the
+// master as failed.
+TEST(IngestWrite, ClosedFileRefusesWritesAndReads) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  PipeDeployment deployment(4);
+  ASSERT_TRUE(deployment.ingest(desc, kBlock, 1, 2).is_ok());
+  auto client = deployment.make_client();
+  auto file = client.open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  file.value()->close();
+
+  const auto fresh = pattern_bytes(kBlock, 3);
+  EXPECT_FALSE(file.value()->write(fresh.data(), fresh.size()).is_ok());
+  std::vector<std::uint8_t> buf(kBlock);
+  EXPECT_FALSE(file.value()->pread(buf.data(), buf.size(), 0).is_ok());
+  for (int s = 0; s < deployment.server_count(); ++s) {
+    EXPECT_EQ(deployment.master().health().state(deployment.server_address(s)),
+              placement::HealthState::kUp)
+        << "server " << s;
+  }
+}
+
 TEST(IngestWrite, ChainWriteLandsOnEveryReplicaWithOneClientCopy) {
   vol::DatasetDesc desc = vol::small_combustion_dataset(2);
   PipeDeployment deployment(4);

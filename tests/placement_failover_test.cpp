@@ -149,15 +149,12 @@ core::Result<DpssClient> new_client(TcpDeployment& d) {
   return d.make_client();
 }
 
-// Open `desc` on a fresh client and read it whole; `dead` receives the
+// Open `desc` on `client`, read it whole and close it; `dead` receives the
 // servers the file marked dead.
-template <typename D>
-core::Result<std::vector<std::uint8_t>> read_whole(
-    D& deployment, const vol::DatasetDesc& desc,
+core::Result<std::vector<std::uint8_t>> read_on(
+    DpssClient& client, const vol::DatasetDesc& desc,
     std::vector<int>* dead = nullptr) {
-  auto client = new_client(deployment);
-  if (!client.is_ok()) return client.status();
-  auto file = client.value().open(desc.name);
+  auto file = client.open(desc.name);
   if (!file.is_ok()) return file.status();
   std::vector<std::uint8_t> buf(desc.total_bytes());
   auto n = file.value()->read(buf.data(), buf.size());
@@ -165,6 +162,16 @@ core::Result<std::vector<std::uint8_t>> read_whole(
   buf.resize(n.value());
   if (dead) *dead = file.value()->dead_servers();
   return buf;
+}
+
+// The same on a fresh client.
+template <typename D>
+core::Result<std::vector<std::uint8_t>> read_whole(
+    D& deployment, const vol::DatasetDesc& desc,
+    std::vector<int>* dead = nullptr) {
+  auto client = new_client(deployment);
+  if (!client.is_ok()) return client.status();
+  return read_on(client.value(), desc, dead);
 }
 
 template <typename D>
@@ -203,6 +210,30 @@ TYPED_TEST(PlacementFailoverLevers, RejoinAfterReviveServesAgain) {
   ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
   EXPECT_TRUE(dead.empty());
   EXPECT_EQ(expected_bytes(desc), bytes.value());
+}
+
+TYPED_TEST(PlacementFailoverLevers, PooledStreamToRevivedServerIsReplaced) {
+  // A single copy: no replica to fail over to, so the read after the
+  // restart succeeds only if the client replaces the connection it pooled
+  // to server 0 -- which died with the old server -- instead of reusing it.
+  vol::DatasetDesc desc = vol::small_combustion_dataset(2);
+  auto& deployment = this->deployment;
+  ASSERT_TRUE(deployment.ingest(desc, 8192).is_ok());
+  auto client = new_client(deployment);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto first = read_on(client.value(), desc);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+
+  deployment.kill_server(0);
+  deployment.revive_server(0);
+  ASSERT_FALSE(deployment.server_killed(0));
+
+  std::vector<int> dead;
+  auto second = read_on(client.value(), desc, &dead);
+  ASSERT_TRUE(second.is_ok()) << second.status().to_string();
+  EXPECT_TRUE(dead.empty());
+  EXPECT_EQ(first.value(), second.value());
+  EXPECT_EQ(expected_bytes(desc), second.value());
 }
 
 TYPED_TEST(PlacementFailoverLevers, RebalanceOntoJoiningServer) {
