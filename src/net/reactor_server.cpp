@@ -370,8 +370,10 @@ struct Conn : std::enable_shared_from_this<Conn> {
     std::memcpy(frame.data() + 8, &len, 8);
     std::memcpy(frame.data() + 16, &reply.trace_id, 8);
     std::memcpy(frame.data() + 24, &reply.span_id, 8);
-    std::memcpy(frame.data() + kFrameHeader, reply.payload.data(),
-                reply.payload.size());
+    if (!reply.payload.empty()) {  // an empty payload's data() may be null
+      std::memcpy(frame.data() + kFrameHeader, reply.payload.data(),
+                  reply.payload.size());
+    }
     add_queued(frame.size());
     wq_bytes += frame.size();
     wq.push_back(std::move(frame));

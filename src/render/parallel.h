@@ -49,7 +49,8 @@ struct ImageOrderReport {
 };
 
 // Render with an image-order decomposition into `tile_count` horizontal
-// bands of the image, each ray-marching the full volume.
+// bands of the image, each compositing its rows of every slice of the full
+// volume.
 core::Result<ImageOrderReport> render_image_order(
     const vol::Volume& volume, int tile_count, vol::Axis view_axis,
     const TransferFunction& tf, core::ThreadPool& pool,

@@ -1,4 +1,4 @@
-// Software volume rendering by orthographic ray marching.
+// Software orthographic volume rendering.
 //
 // Two renderers:
 //
@@ -6,12 +6,19 @@
 //    renders its slab along a principal axis into an RGBA texture whose
 //    pixel grid is the full volume's transverse extent, so the per-slab
 //    textures from all PEs align exactly when the viewer composites them
-//    (the IBRAVR source images of section 3.3).
+//    (the IBRAVR source images of section 3.3).  Because the view is axis
+//    aligned it composites slice by slice (the slice-order fast path of
+//    Lacroute & Levoy's shear-warp): each sample plane is the lerp of two
+//    neighbouring slices, resampled bilinearly in-plane when
+//    resolution_scale != 1, classified through a transfer-function table
+//    whose opacities are step-corrected once per call, and composited into
+//    the image in place, skipping pixels that are already opaque.
 //
 //  * render_volume_rotated -- a general orthographic ray caster with a
-//    rotation about the vertical axis.  This is the "costly volume
-//    rendering on each frame" IBRAVR avoids; the reproduction uses it as
-//    ground truth to *measure* the IBRAVR off-axis artifacts of Fig. 6.
+//    rotation about the vertical axis, and the only renderer that marches
+//    rays.  This is the "costly volume rendering on each frame" IBRAVR
+//    avoids; the reproduction uses it as ground truth to *measure* the
+//    IBRAVR off-axis artifacts of Fig. 6.
 //
 // Both composite front-to-back with opacity corrected for step size, and
 // produce premultiplied-alpha images (see core/image.h).
@@ -27,7 +34,10 @@
 namespace visapult::render {
 
 struct RenderOptions {
-  float step = 1.0f;        // ray-march step, in cells
+  // Sample spacing along the view direction, in cells: the distance
+  // between composited slice planes on an axis-aligned view, the ray-march
+  // step in render_volume_rotated.
+  float step = 1.0f;
   float value_lo = 0.0f;    // data window mapped to [0,1] before the TF
   float value_hi = 1.0f;
   // Pixels per cell in the output image (1 = one pixel per cell).
@@ -57,6 +67,7 @@ core::Result<core::ImageRGBA> render_volume_rotated(
 // `out`, which must already have the full image size.  This is what the
 // image-order parallel driver uses to give each processor a screen-space
 // band.  render_brick_along_axis is the whole-image convenience wrapper.
+// Rows in the range are overwritten; the others are left alone.
 core::Status render_brick_rows(const vol::Volume& volume,
                                const vol::Brick& slab, vol::Axis view_axis,
                                const TransferFunction& tf,

@@ -39,12 +39,6 @@ TransferFunction::TransferFunction(std::vector<ControlPoint> points) {
   }
 }
 
-ControlPoint TransferFunction::classify(float value) const {
-  const float v = std::clamp(value, 0.0f, 1.0f);
-  const int i = static_cast<int>(v * (kTableSize - 1) + 0.5f);
-  return table_[static_cast<std::size_t>(i)];
-}
-
 TransferFunction TransferFunction::fire() {
   return TransferFunction({
       {0.00f, 0.0f, 0.0f, 0.0f, 0.000f},

@@ -22,13 +22,29 @@ struct ControlPoint {
 
 class TransferFunction {
  public:
+  static constexpr int kTableSize = 1024;
+
   // Control points are sorted by value internally; lookups interpolate
-  // piecewise-linearly and a 1024-entry table caches the result.
+  // piecewise-linearly and a kTableSize-entry table caches the result.
   explicit TransferFunction(std::vector<ControlPoint> points);
+
+  // The table entry for a normalised value: the nearest entry after
+  // clamping to [0,1].  NaN maps to entry 0, so a bad cell classifies like a
+  // value below the data window instead of indexing out of the table.
+  static int table_index(float value) {
+    if (!(value > 0.0f)) return 0;  // also NaN
+    if (value >= 1.0f) return kTableSize - 1;
+    return static_cast<int>(value * (kTableSize - 1) + 0.5f);
+  }
+
+  // Entry `index` of the table, 0 <= index < kTableSize.
+  const ControlPoint& entry(int index) const {
+    return table_[static_cast<std::size_t>(index)];
+  }
 
   // Classify a normalised value: straight (non-premultiplied) colour plus
   // extinction coefficient.
-  ControlPoint classify(float value) const;
+  ControlPoint classify(float value) const { return entry(table_index(value)); }
 
   // Presets used by the examples and benches.
   static TransferFunction fire();     // combustion: black->red->orange->white
@@ -36,7 +52,6 @@ class TransferFunction {
   static TransferFunction linear_grey();
 
  private:
-  static constexpr int kTableSize = 1024;
   std::array<ControlPoint, kTableSize> table_;
 };
 
