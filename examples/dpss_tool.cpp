@@ -36,11 +36,12 @@
 // depth) -- the live introspection for the epoll net layer.
 //
 // The `stats` subcommand stands up a reactor-mode deployment, drives load
-// through it, then pulls live metrics over the wire -- the kStats RPC every
-// master and block server answers -- and renders a per-server table of
-// request counts and read-latency percentiles (p50/p95/p99 straight from
-// the servers' log-bucketed histograms).  With rounds > 1 it loops,
-// re-driving load and re-polling each round (a poor man's `watch`).  The
+// through it, then pulls live metrics over the wire -- the kStats
+// introspection every master and block server answers -- and renders a
+// per-server table of request counts and read-latency percentiles
+// (p50/p95/p99 straight from the servers' log-bucketed histograms).  With
+// rounds > 1 it loops, re-driving load and re-polling each round (a poor
+// man's `watch`).  The
 // final raw Prometheus-style exposition is printed verbatim so CI can grep
 // for the metric families.
 //
@@ -61,7 +62,7 @@
 // then renders one row per schedulable resource -- event loops, worker
 // pools, front doors, peer links, cache tier -- with its utilization,
 // saturation, and error figures, all scraped off the dpss_util_* metric
-// families the kStats RPC exports.
+// families the kIntrospect kStats text exports.
 //
 // The `profile` subcommand arms the in-process stage profiler, drives a
 // traced rf=3 write and a degraded EC(4,2) read, and prints the sampled
@@ -212,13 +213,14 @@ int run_meta_report(int shards, int replicas, int datasets) {
       }
       auto wire = cluster.connector()(cluster.address(j, k));
       if (!wire.is_ok()) return 1;
-      if (!net::send_message(*wire.value(), dpss::encode_meta_status_request())
+      if (!net::send_message(*wire.value(),
+                             dpss::encode(dpss::MetaStatusRequest{}))
                .is_ok()) {
         return 1;
       }
       auto msg = net::recv_message(*wire.value());
       if (!msg.is_ok()) return 1;
-      auto status = dpss::decode_meta_status_reply(msg.value());
+      auto status = dpss::decode<dpss::MetaStatus>(msg.value());
       if (!status.is_ok()) return 1;
       const auto& s = status.value();
       table.add_row(
@@ -854,8 +856,8 @@ int run_stats_report(int servers, int clients, int rounds) {
       for (auto& t : drivers) t.join();
     }
 
-    // Live poll over the wire: the kStats RPC against master and servers.
-    auto master_text = poller.value().master_stats();
+    // Live poll over the wire: kStats introspection of master and servers.
+    auto master_text = poller.value().introspect(dpss::IntrospectKind::kStats);
     if (!master_text.is_ok()) {
       std::fprintf(stderr, "master stats failed: %s\n",
                    master_text.status().to_string().c_str());
@@ -873,7 +875,8 @@ int run_stats_report(int servers, int clients, int rounds) {
     core::TableWriter table({"server", "requests", "read p50/p95/p99 ms",
                              "in flight", "cache hits", "net accepted"});
     for (int i = 0; i < deployment.server_count(); ++i) {
-      auto text = poller.value().server_stats(deployment.server_address(i));
+      auto text = poller.value().introspect(deployment.server_address(i),
+                                            dpss::IntrospectKind::kStats);
       if (!text.is_ok()) {
         std::fprintf(stderr, "server %d stats failed: %s\n", i,
                      text.status().to_string().c_str());
@@ -896,8 +899,9 @@ int run_stats_report(int servers, int clients, int rounds) {
   }
 
   // Raw exposition, verbatim: what a scraper (or the CI grep) would see.
-  auto master_text = poller.value().master_stats();
-  auto server_text = poller.value().server_stats(deployment.server_address(0));
+  auto master_text = poller.value().introspect(dpss::IntrospectKind::kStats);
+  auto server_text = poller.value().introspect(deployment.server_address(0),
+                                               dpss::IntrospectKind::kStats);
   if (master_text.is_ok()) {
     std::printf("--- master exposition ---\n%s", master_text.value().c_str());
   }
@@ -1060,7 +1064,7 @@ int run_top_report(int servers, int clients, int rounds) {
     now += 1.0;
     deployment.master().tick(now);
 
-    auto master_text = poller.value().master_stats();
+    auto master_text = poller.value().introspect(dpss::IntrospectKind::kStats);
     if (!master_text.is_ok()) {
       std::fprintf(stderr, "master stats failed: %s\n",
                    master_text.status().to_string().c_str());
@@ -1096,7 +1100,8 @@ int run_top_report(int servers, int clients, int rounds) {
         {"server", "requests", "read p50/p95/p99 ms", "in flight",
          "cache hits", "pool sat", "cache occ"});
     for (int i = 0; i < deployment.server_count(); ++i) {
-      auto text = poller.value().server_stats(deployment.server_address(i));
+      auto text = poller.value().introspect(deployment.server_address(i),
+                                            dpss::IntrospectKind::kStats);
       if (!text.is_ok()) {
         table.add_row({std::to_string(i), "down", "-", "-", "-", "-", "-"});
         continue;
@@ -1121,20 +1126,20 @@ int run_top_report(int servers, int clients, int rounds) {
 
     // The collector's own view, over the wire: slowest traces broken down
     // by critical-path stage, plus the alert status lines.
-    auto report = poller.value().trace_report();
+    auto report = poller.value().introspect(dpss::IntrospectKind::kTraceReport);
     if (report.is_ok()) std::printf("%s\n", report.value().c_str());
   }
 
   // Raw exposition, verbatim: the stage histograms and alert samples a
   // scraper (or the CI grep) sees.
-  auto master_text = poller.value().master_stats();
+  auto master_text = poller.value().introspect(dpss::IntrospectKind::kStats);
   if (master_text.is_ok()) {
     std::printf("--- master exposition ---\n%s", master_text.value().c_str());
   }
   // The profiler's answer to the same question the critical path answers:
-  // where did the time go?  Fetched over the kProfile RPC like any remote
+  // where did the time go?  Fetched over the kIntrospect RPC like any remote
   // scraper would, then compared against the in-process top stage.
-  auto profile = poller.value().master_profile();
+  auto profile = poller.value().introspect(dpss::IntrospectKind::kProfile);
   if (profile.is_ok() && !profile.value().empty()) {
     std::printf("--- collapsed stage profile ---\n%s",
                 profile.value().c_str());
@@ -1149,7 +1154,7 @@ int run_top_report(int servers, int clients, int rounds) {
 // `util`: stand up a reactor deployment, push a replicated chain write and
 // a pread burst through it, then render the USE-method table -- one row
 // per schedulable resource with its Utilization / Saturation / Errors
-// figures, scraped off the dpss_util_* families over the kStats wire.
+// figures, scraped off the dpss_util_* families in the kStats text.
 int run_util_report(int servers, int clients) {
   const auto dataset = vol::DatasetDesc{"combustion-demo", {96, 64, 64}, 2,
                                         vol::Generator::kCombustion, 42};
@@ -1188,7 +1193,7 @@ int run_util_report(int servers, int clients) {
   std::printf("load: rf=3 overwrite + %d clients x 4 preads, %d errors\n\n",
               clients, errors);
 
-  auto master_text = poller.value().master_stats();
+  auto master_text = poller.value().introspect(dpss::IntrospectKind::kStats);
   if (!master_text.is_ok()) {
     std::fprintf(stderr, "master stats failed: %s\n",
                  master_text.status().to_string().c_str());
@@ -1226,7 +1231,8 @@ int run_util_report(int servers, int clients) {
        std::to_string(static_cast<std::uint64_t>(
            metric_value(mt, "dpss_master_net_overflow_closes_total")))});
   for (int i = 0; i < deployment.server_count(); ++i) {
-    auto text = poller.value().server_stats(deployment.server_address(i));
+    auto text = poller.value().introspect(deployment.server_address(i),
+                                          dpss::IntrospectKind::kStats);
     if (!text.is_ok()) {
       use.add_row({"server " + std::to_string(i), "down", "-", "-"});
       continue;
@@ -1292,7 +1298,8 @@ int run_util_report(int servers, int clients) {
   std::printf("%s\n", use.to_string().c_str());
 
   // Raw expositions for scrapers and the CI greps.
-  auto server_text = poller.value().server_stats(deployment.server_address(0));
+  auto server_text = poller.value().introspect(deployment.server_address(0),
+                                               dpss::IntrospectKind::kStats);
   std::printf("--- master exposition ---\n%s", mt.c_str());
   if (server_text.is_ok()) {
     std::printf("--- server 0 exposition ---\n%s",
@@ -1362,7 +1369,7 @@ int run_profile_report(int servers, int clients, double hz) {
               obs::Profiler::global().registered_threads());
 
   // Over the wire, as a remote scraper would pull it.
-  auto collapsed = poller.value().master_profile();
+  auto collapsed = poller.value().introspect(dpss::IntrospectKind::kProfile);
   if (!collapsed.is_ok()) {
     std::fprintf(stderr, "profile RPC failed: %s\n",
                  collapsed.status().to_string().c_str());
@@ -1396,7 +1403,7 @@ int usage(std::FILE* out) {
       "parity-delta write pipeline\n"
       "  net [servers] [clients]              reactor event loops + front "
       "door counters\n"
-      "  stats [servers] [clients] [rounds]   live kStats poll: per-server "
+      "  stats [servers] [clients] [rounds]   live stats poll: per-server "
       "latency table + exposition\n"
       "  top [servers] [clients] [rounds]     trace/alert dashboard: "
       "critical paths, firing alerts\n"

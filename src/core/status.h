@@ -25,6 +25,10 @@ enum class StatusCode {
   kInternal,
 };
 
+// The last code; wire decoders reject larger values, so this moves with
+// any code added above.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kInternal;
+
 const char* status_code_name(StatusCode code);
 
 class Status {

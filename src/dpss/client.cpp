@@ -178,7 +178,7 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
                        {"SPAN", obs::trace_hex(trace.span_id)},
                        {"DATASET", dataset}});
   }
-  net::Message open_msg = encode_open_request(req);
+  net::Message open_msg = encode(req);
   open_msg.trace_id = trace.trace_id;
   open_msg.span_id = trace.sampled() ? obs::new_span_id() : 0;
   // The link the open went through also carries this file's failure and
@@ -189,7 +189,7 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
                                        open_msg, dataset, &served)
                      : master_->roundtrip(open_msg);
   if (!reply_msg.is_ok()) return reply_msg.status();
-  auto decoded = decode_open_reply(reply_msg.value());
+  auto decoded = decode<OpenReply>(reply_msg.value());
   if (!decoded.is_ok()) return decoded.status();
   OpenReply open_reply = std::move(decoded).take();
   if (trace.sampled()) {
@@ -242,10 +242,10 @@ core::Result<std::unique_ptr<DpssFile>> DpssClient::open(
   // Failure and fixup reports ride the master connection (best effort);
   // the shared link keeps it alive for files that outlive this client.
   FailureReporter reporter = [link = served](const FailureReport& report) {
-    (void)link->roundtrip(encode_failure_report(report));
+    (void)link->roundtrip(encode(report));
   };
   FixupReporter fixup_reporter = [link = served](const FixupReport& report) {
-    (void)link->roundtrip(encode_fixup_report(report));
+    (void)link->roundtrip(encode(report));
   };
 
   // A dead server is survivable whenever the dataset has redundancy --
@@ -399,7 +399,7 @@ void DpssClient::report_master_failure(const std::shared_ptr<MasterLink>& via,
                                        const ServerAddress& dead,
                                        const std::string& dataset) {
   FailureReport report{dead, dataset, 0, "master unreachable from client"};
-  if (!via->roundtrip(encode_failure_report(report)).is_ok()) return;
+  if (!via->roundtrip(encode(report)).is_ok()) return;
   std::lock_guard lk(meta_->mu);
   ++meta_->master_failure_reports;
 }
@@ -410,11 +410,11 @@ core::Result<std::uint64_t> DpssClient::pull_deltas(std::uint32_t shard,
   PlacementDeltaRequest req;
   req.dataset = dataset;
   req.since_epoch = since;
-  const net::Message msg = encode_placement_delta_request(req);
+  const net::Message msg = encode(req);
   auto got = meta_->sharded ? shard_roundtrip(shard, msg, dataset, nullptr)
                             : master_->roundtrip(msg);
   if (!got.is_ok()) return got.status();
-  auto reply = decode_placement_delta_reply(got.value());
+  auto reply = decode<PlacementDeltaReply>(got.value());
   if (!reply.is_ok()) return reply.status();
   // Entries are self-contained full-state records, so replaying a delta
   // run and installing a snapshot go through the same apply loop and
@@ -490,23 +490,25 @@ core::Result<net::Message> DpssClient::MasterLink::roundtrip(
   return net::recv_message(*stream);
 }
 
-core::Result<std::string> DpssClient::master_stats() {
-  auto msg = master_->roundtrip(encode_stats_request());
+namespace {
+
+core::Result<std::string> introspect_text(core::Result<net::Message> msg) {
   if (!msg.is_ok()) return msg.status();
-  return decode_stats_reply(msg.value());
+  auto reply = decode<IntrospectReply>(msg.value());
+  if (!reply.is_ok()) return reply.status();
+  return std::move(reply.value().text);
 }
 
-core::Result<std::string> DpssClient::master_profile() {
-  auto msg = master_->roundtrip(encode_profile_request());
-  if (!msg.is_ok()) return msg.status();
-  return decode_profile_reply(msg.value());
+}  // namespace
+
+core::Result<std::string> DpssClient::introspect(IntrospectKind kind) {
+  return introspect_text(master_->roundtrip(encode(IntrospectRequest{kind})));
 }
 
-core::Result<std::string> DpssClient::server_profile(
-    const ServerAddress& addr) {
-  auto msg = pool_->roundtrip(addr, encode_profile_request());
-  if (!msg.is_ok()) return msg.status();
-  return decode_profile_reply(msg.value());
+core::Result<std::string> DpssClient::introspect(const ServerAddress& addr,
+                                                 IntrospectKind kind) {
+  return introspect_text(
+      pool_->roundtrip(addr, encode(IntrospectRequest{kind})));
 }
 
 void DpssClient::enable_open_tracing(
@@ -521,21 +523,11 @@ core::Result<std::uint64_t> DpssClient::export_spans(
   batch.host = host;
   batch.sent_at = sent_at;
   batch.spans = spans;
-  auto msg = master_->roundtrip(encode_span_export_request(batch));
+  auto msg = master_->roundtrip(encode(batch));
   if (!msg.is_ok()) return msg.status();
-  return decode_span_export_reply(msg.value());
-}
-
-core::Result<std::string> DpssClient::trace_report() {
-  auto msg = master_->roundtrip(encode_trace_report_request());
-  if (!msg.is_ok()) return msg.status();
-  return decode_trace_report_reply(msg.value());
-}
-
-core::Result<std::string> DpssClient::server_stats(const ServerAddress& addr) {
-  auto msg = pool_->roundtrip(addr, encode_stats_request());
-  if (!msg.is_ok()) return msg.status();
-  return decode_stats_reply(msg.value());
+  auto reply = decode<SpanExportReply>(msg.value());
+  if (!reply.is_ok()) return reply.status();
+  return reply.value().accepted;
 }
 
 DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
@@ -710,7 +702,7 @@ core::Status DpssFile::exchange(
 }
 
 core::Result<BlockReadReply> DpssFile::take_block(const net::Message& msg) {
-  auto reply = decode_block_read_reply(msg);
+  auto reply = decode<BlockReadReply>(msg);
   if (!reply.is_ok()) return reply;
   BlockReadReply& r = reply.value();
   wire_bytes_.add(r.data.size());
@@ -776,8 +768,8 @@ core::Status DpssFile::fetch_wire_blocks(
     const bool any_failed = !exchange(
         by_server,
         [&](std::size_t s, std::size_t i) {
-          return encode_block_read_request(
-              {dataset_, by_server[s][i], compression_});
+          return encode(
+              BlockReadRequest{dataset_, by_server[s][i], compression_});
         },
         [&](std::size_t s, std::size_t, net::Message& msg) -> core::Status {
           auto reply = take_block(msg);
@@ -849,7 +841,7 @@ bool DpssFile::fetch_slices(
       blocks,
       [&](std::size_t s, std::size_t i) {
         const SliceFetch& f = *by_server[s][i];
-        return encode_block_read_request({f.dataset, f.block, compression_});
+        return encode(BlockReadRequest{f.dataset, f.block, compression_});
       },
       [&](std::size_t s, std::size_t i, net::Message& msg) -> core::Status {
         auto reply = take_block(msg);
@@ -1277,10 +1269,10 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
     const core::Status failure = exchange(
         blocks,
         [&](std::size_t s, std::size_t i) {
-          return encode_ingest_write_request(by_primary[s][i].req);
+          return encode(by_primary[s][i].req);
         },
         [&](std::size_t s, std::size_t, net::Message& msg) {
-          replies[s].push_back(decode_ingest_write_reply(msg));
+          replies[s].push_back(decode<IngestWriteReply>(msg));
           return core::Status::ok();
         });
 

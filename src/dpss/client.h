@@ -113,16 +113,12 @@ class DpssClient {
   core::Result<std::unique_ptr<DpssFile>> open(const std::string& dataset,
                                                const std::string& auth_token = "");
 
-  // Live stats pulls (kStatsRequest): the master's registry, or one block
-  // server's, rendered as Prometheus-style exposition text.
-  core::Result<std::string> master_stats();
-  core::Result<std::string> server_stats(const ServerAddress& addr);
-
-  // Live profile pulls (kProfileRequest): the answering process's
-  // flamegraph-collapsed stage profile.  Empty text when that process's
-  // obs::Profiler is not sampling.
-  core::Result<std::string> master_profile();
-  core::Result<std::string> server_profile(const ServerAddress& addr);
+  // Live introspection (kIntrospectRequest): the master's, or one block
+  // server's, text for `kind` (see IntrospectKind).  Block servers answer
+  // kStats and kProfile; only the master answers kTraceReport.
+  core::Result<std::string> introspect(IntrospectKind kind);
+  core::Result<std::string> introspect(const ServerAddress& addr,
+                                       IntrospectKind kind);
 
   // Trace dataset opens: mint a trace per open(), stamp it on the wire
   // OpenRequest (so the master's MASTER_IN/OUT join the lifeline), and
@@ -136,10 +132,6 @@ class DpssClient {
   core::Result<std::uint64_t> export_spans(
       const std::string& host, double sent_at,
       const std::vector<obs::SpanRecord>& spans);
-
-  // Pull the collector's slowest-trace critical-path report plus alert
-  // status (kTraceReportRequest).
-  core::Result<std::string> trace_report();
 
   // ---- sharded metadata plane (PR 9) ----
   // Route opens across `shard_map`'s master shards by dataset hash.

@@ -22,10 +22,9 @@ std::uint64_t export_spans_to_master(Master& master, TraceExport& e) {
   // Through the kSpanExport codec, not a direct collector call: the
   // in-process deployments exercise the exact bytes a remote exporter
   // would put on the wire.
-  net::Message reply =
-      master.handle_request(encode_span_export_request(batch));
-  auto accepted = decode_span_export_reply(reply);
-  return accepted.is_ok() ? accepted.value() : 0;
+  auto accepted =
+      decode<SpanExportReply>(master.handle_request(encode(batch)));
+  return accepted.is_ok() ? accepted.value().accepted : 0;
 }
 
 namespace {

@@ -275,14 +275,13 @@ void Master::replicate_to_followers(const meta::LogEntry& entry) {
     if (!stream.is_ok()) return stream.status();
     MetaAppendRequest req;
     req.entry = e;
-    if (auto st = net::send_message(*stream.value(),
-                                    encode_meta_append_request(req));
+    if (auto st = net::send_message(*stream.value(), encode(req));
         !st.is_ok()) {
       return st;
     }
     auto raw = net::recv_message(*stream.value());
     if (!raw.is_ok()) return raw.status();
-    return decode_meta_append_reply(raw.value());
+    return decode<MetaAppendReply>(raw.value());
   };
   for (const auto& f : followers_) {
     auto r = push(f, entry);
@@ -346,14 +345,13 @@ core::Status Master::catch_up(const ServerAddress& leader) {
   if (!stream.is_ok()) return stream.status();
   PlacementDeltaRequest req;
   req.since_epoch = meta_log_.last_epoch();
-  if (auto st = net::send_message(*stream.value(),
-                                  encode_placement_delta_request(req));
+  if (auto st = net::send_message(*stream.value(), encode(req));
       !st.is_ok()) {
     return st;
   }
   auto raw = net::recv_message(*stream.value());
   if (!raw.is_ok()) return raw.status();
-  auto reply = decode_placement_delta_reply(raw.value());
+  auto reply = decode<PlacementDeltaReply>(raw.value());
   if (!reply.is_ok()) return reply.status();
   std::lock_guard lk(mu_);
   if (reply.value().snapshot) {
@@ -374,7 +372,7 @@ core::Status Master::catch_up(const ServerAddress& leader) {
 }
 
 net::Message Master::handle_meta_append(const net::Message& msg) {
-  auto req = decode_meta_append_request(msg);
+  auto req = decode<MetaAppendRequest>(msg);
   if (!req.is_ok()) return encode_error_reply(req.status());
   MetaAppendReply reply;
   std::lock_guard lk(mu_);
@@ -383,11 +381,11 @@ net::Message Master::handle_meta_append(const net::Message& msg) {
     if (catalog_.apply(req.value().entry).is_ok()) reply.accepted = true;
   }
   reply.follower_epoch = meta_log_.last_epoch();
-  return encode_meta_append_reply(reply);
+  return encode(reply);
 }
 
 net::Message Master::handle_placement_delta(const net::Message& msg) {
-  auto req = decode_placement_delta_request(msg);
+  auto req = decode<PlacementDeltaRequest>(msg);
   if (!req.is_ok()) return encode_error_reply(req.status());
   const PlacementDeltaRequest& q = req.value();
   PlacementDeltaReply reply;
@@ -400,7 +398,7 @@ net::Message Master::handle_placement_delta(const net::Message& msg) {
       reply.snapshot = true;
       reply.entries = catalog_.snapshot();
     }
-    return encode_placement_delta_reply(reply);
+    return encode(reply);
   }
   auto found = catalog_.lookup(q.dataset);
   if (!found) {
@@ -410,7 +408,7 @@ net::Message Master::handle_placement_delta(const net::Message& msg) {
   reply.epoch = found->epoch;
   if (q.since_epoch >= found->epoch) {
     // Already current: empty delta.
-    return encode_placement_delta_reply(reply);
+    return encode(reply);
   }
   if (auto entries = meta_log_.entries_since(q.since_epoch)) {
     for (auto& e : *entries) {
@@ -429,7 +427,7 @@ net::Message Master::handle_placement_delta(const net::Message& msg) {
     le.servers = found->servers;
     reply.entries.push_back(std::move(le));
   }
-  return encode_placement_delta_reply(reply);
+  return encode(reply);
 }
 
 void Master::heartbeat(const ServerAddress& server,
@@ -628,7 +626,7 @@ net::Message Master::handle_request(net::Message&& msg) {
   net::Message reply;
   if (msg.type == kOpenRequest) {
     OBS_STAGE("master.open");
-    auto req = decode_open_request(msg);
+    auto req = decode<OpenRequest>(msg);
     if (!req.is_ok()) {
       reply = encode_error_reply(req.status());
     } else {
@@ -668,12 +666,12 @@ net::Message Master::handle_request(net::Message&& msg) {
           } else {
             meta_snapshot_opens_.inc();
           }
-          reply = encode_open_reply(r);
+          reply = encode(r);
         }
       }
     }
   } else if (msg.type == kHeartbeat) {
-    auto req = decode_heartbeat(msg);
+    auto req = decode<HeartbeatRequest>(msg);
     if (!req.is_ok()) {
       reply = encode_error_reply(req.status());
     } else {
@@ -682,10 +680,10 @@ net::Message Master::handle_request(net::Message&& msg) {
       // Gossip: merge the server's per-dataset generations upward, hand
       // the merged floors back down on the same beat.
       gossip_.merge(req.value().floors);
-      reply = encode_heartbeat_reply(gossip_.snapshot());
+      reply = encode(HeartbeatReply{gossip_.snapshot()});
     }
   } else if (msg.type == kFailureReport) {
-    auto req = decode_failure_report(msg);
+    auto req = decode<FailureReport>(msg);
     if (!req.is_ok()) {
       reply = encode_error_reply(req.status());
     } else {
@@ -694,7 +692,7 @@ net::Message Master::handle_request(net::Message&& msg) {
       reply.type = kFailureReportReply;
     }
   } else if (msg.type == kFixupReport) {
-    auto req = decode_fixup_report(msg);
+    auto req = decode<FixupReport>(msg);
     if (!req.is_ok()) {
       reply = encode_error_reply(req.status());
     } else {
@@ -711,13 +709,28 @@ net::Message Master::handle_request(net::Message&& msg) {
   } else if (msg.type == kMetaAppendRequest) {
     reply = handle_meta_append(msg);
   } else if (msg.type == kMetaStatusRequest) {
-    reply = encode_meta_status_reply(meta_status());
-  } else if (msg.type == kCloseRequest) {
-    reply.type = kCloseReply;
-  } else if (msg.type == kStatsRequest) {
-    reply = encode_stats_reply(registry_.render_text());
+    reply = encode(meta_status());
+  } else if (msg.type == kIntrospectRequest) {
+    auto req = decode<IntrospectRequest>(msg);
+    if (!req.is_ok()) {
+      reply = encode_error_reply(req.status());
+    } else {
+      IntrospectReply r;
+      switch (req.value().kind) {
+        case IntrospectKind::kStats:
+          r.text = registry_.render_text();
+          break;
+        case IntrospectKind::kTraceReport:
+          r.text = trace_report();
+          break;
+        case IntrospectKind::kProfile:
+          r.text = obs::Profiler::global().render_collapsed();
+          break;
+      }
+      reply = encode(r);
+    }
   } else if (msg.type == kSpanExportRequest) {
-    auto req = decode_span_export_request(msg);
+    auto req = decode<SpanExportBatch>(msg);
     if (!req.is_ok()) {
       reply = encode_error_reply(req.status());
     } else {
@@ -725,12 +738,8 @@ net::Message Master::handle_request(net::Message&& msg) {
       const std::uint64_t accepted =
           collector_.ingest(batch.host, batch.sent_at,
                             core::global_real_clock().now(), batch.spans);
-      reply = encode_span_export_reply(accepted);
+      reply = encode(SpanExportReply{accepted});
     }
-  } else if (msg.type == kTraceReportRequest) {
-    reply = encode_trace_report_reply(trace_report());
-  } else if (msg.type == kProfileRequest) {
-    reply = encode_profile_reply(obs::Profiler::global().render_collapsed());
   } else {
     reply = encode_error_reply(
         core::invalid_argument("unknown request type at master"));

@@ -206,14 +206,14 @@ class Master {
   std::uint64_t opens_served() const { return opens_.value(); }
 
   // The master's metrics plane (control-path counters, fixup queue depth,
-  // request latency), rendered by the kStatsRequest handler.
+  // request latency), the text of an IntrospectKind::kStats request.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
   // ---- trace aggregation + alerting (PR 8) ----
   // The master doubles as the deployment's span collector: components ship
   // their finished spans via kSpanExportRequest, tick() finalizes traces
   // that have gone idle, and the collector's stage histograms + exemplars
-  // ride the master's kStats exposition.
+  // ride the master's kStats introspection text.
   obs::SpanCollector& span_collector() { return collector_; }
   const obs::SpanCollector& span_collector() const { return collector_; }
 
@@ -229,8 +229,8 @@ class Master {
   // finalizes everything assembled at each tick.
   void set_trace_linger(double seconds) { trace_linger_.store(seconds); }
 
-  // The kTraceReportRequest body: slowest-trace critical-path breakdowns
-  // plus alert status lines.
+  // The IntrospectKind::kTraceReport text: slowest-trace critical-path
+  // breakdowns plus alert status lines.
   std::string trace_report();
 
   // Optional NetLogger: traced requests emit DPSS_MASTER_IN/OUT lifeline

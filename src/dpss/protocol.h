@@ -6,11 +6,15 @@
 // block lookup, access control and load balancing; *block servers* hold the
 // data blocks on their parallel disks; the *client library* talks to the
 // master once per open, then streams block requests directly to the servers
-// with one thread per server.
+// over one pooled connection per server.
 //
-// All messages are framed with net::Message; payload layouts are defined by
-// the encode_*/decode_* helpers here so client, master and server cannot
-// drift apart.
+// All messages are framed with net::Message.  Each message below is one
+// struct, and protocol.cpp gives each struct one field list in wire order:
+// encode() and decode<T>() are both generated from it, so client, master
+// and server cannot drift apart.  decode<T>() checks the frame type, every
+// length and element count against the bytes left before allocating, every
+// enum against its range and every narrowed integer (ports) against its
+// field, and answers anything else with kDataLoss.
 #pragma once
 
 #include <cstdint>
@@ -37,57 +41,51 @@ namespace visapult::dpss {
 // metadata plane; the aliases keep every existing caller compiling.)
 inline constexpr std::uint32_t kDefaultBlockBytes = meta::kDefaultBlockBytes;
 
+// Numbers are pinned: a retired message keeps its number reserved.
 enum MessageType : std::uint32_t {
   kOpenRequest = 0x4450531,
-  kOpenReply,
-  kBlockReadRequest,
-  kBlockReadReply,
-  kBlockWriteRequest,
-  kBlockWriteReply,
-  kCloseRequest,
-  kCloseReply,
-  kErrorReply,
+  kOpenReply = 0x4450532,
+  kBlockReadRequest = 0x4450533,
+  kBlockReadReply = 0x4450534,
+  kBlockWriteRequest = 0x4450535,
+  kBlockWriteReply = 0x4450536,
+  // 0x4450537 and 0x4450538: retired close request/reply.
+  kErrorReply = 0x4450539,
   // Placement subsystem (PR 3): server -> master liveness/load beats and
   // client -> master I/O failure reports.
-  kHeartbeat,
-  kHeartbeatReply,
-  kFailureReport,
-  kFailureReportReply,
+  kHeartbeat = 0x445053a,
+  kHeartbeatReply = 0x445053b,
+  kFailureReport = 0x445053c,
+  kFailureReportReply = 0x445053d,
   // Ingest pipeline (PR 5): server-driven mutations.  An ingest write goes
   // to the block's *primary*, which pipelines it down the replica chain
   // (server-to-server) and ships GF parity deltas to EC parity owners; the
   // fixup report tells the master which targets missed the generation.
-  kIngestWriteRequest,
-  kIngestWriteReply,
-  kParityDeltaRequest,
-  kParityDeltaReply,
-  kFixupReport,
-  kFixupReportReply,
-  // Observability (PR 7): any component (master or block server) answers a
-  // stats request with its metrics registry rendered as Prometheus-style
-  // exposition text.
-  kStatsRequest,
-  kStatsReply,
+  kIngestWriteRequest = 0x445053e,
+  kIngestWriteReply = 0x445053f,
+  kParityDeltaRequest = 0x4450540,
+  kParityDeltaReply = 0x4450541,
+  kFixupReport = 0x4450542,
+  kFixupReportReply = 0x4450543,
+  // Observability: any component (master or block server) answers an
+  // introspection request with text (see IntrospectKind).
+  kIntrospectRequest = 0x4450544,
+  kIntrospectReply = 0x4450545,
   // Trace aggregation (PR 8): components batch-ship finished span records
-  // from their NetLogger sinks to the master's SpanCollector, and anyone
-  // can pull the collector's critical-path report + alert status.
-  kSpanExportRequest,
-  kSpanExportReply,
-  kTraceReportRequest,
-  kTraceReportReply,
+  // from their NetLogger sinks to the master's SpanCollector.
+  kSpanExportRequest = 0x4450546,
+  kSpanExportReply = 0x4450547,
+  // 0x4450548 and 0x4450549: retired trace-report request/reply.
   // Sharded metadata plane (PR 9): epoch-numbered placement deltas
   // (client catch-up after a cached open), leader -> follower log
   // replication, and per-member shard status for tooling.
-  kPlacementDeltaRequest,
-  kPlacementDeltaReply,
-  kMetaAppendRequest,
-  kMetaAppendReply,
-  kMetaStatusRequest,
-  kMetaStatusReply,
-  // Utilization plane (PR 10): any component answers a profile request
-  // with its process's flamegraph-collapsed stage-profile text.
-  kProfileRequest,
-  kProfileReply,
+  kPlacementDeltaRequest = 0x445054a,
+  kPlacementDeltaReply = 0x445054b,
+  kMetaAppendRequest = 0x445054c,
+  kMetaAppendReply = 0x445054d,
+  kMetaStatusRequest = 0x445054e,
+  kMetaStatusReply = 0x445054f,
+  // 0x4450550 and 0x4450551: retired profile request/reply.
 };
 
 // ---- master <-> client ------------------------------------------------------
@@ -156,6 +154,12 @@ struct HeartbeatRequest {
   std::vector<meta::GenerationFloor> floors;
 };
 
+// The master's merged floor snapshot rides back down, so generation
+// knowledge gossips both ways on the beat that already flows.
+struct HeartbeatReply {
+  std::vector<meta::GenerationFloor> floors;
+};
+
 // A client-side I/O error against one block server, reported to the master
 // so its health tracking demotes the server for subsequent opens.
 struct FailureReport {
@@ -195,6 +199,10 @@ struct BlockWriteRequest {
   // non-zero stamps the write, which the server rejects as stale when the
   // block already carries a newer generation.
   std::uint64_t generation = 0;
+};
+
+struct BlockWriteReply {
+  std::uint64_t block = 0;
 };
 
 // ---- ingest pipeline (server-driven mutations) -------------------------------
@@ -290,7 +298,10 @@ struct MetaAppendReply {
   std::uint64_t follower_epoch = 0;
 };
 
-// Per-member shard status for dpss_tool and tests.
+// Per-member shard status for dpss_tool and tests, asked for with an empty
+// request.
+struct MetaStatusRequest {};
+
 struct MetaStatus {
   std::uint32_t shard_id = 0;
   std::uint32_t shard_count = 1;
@@ -304,83 +315,7 @@ struct MetaStatus {
   std::uint64_t leader_elections = 0;
 };
 
-// ---- encode / decode ---------------------------------------------------------
-
-net::Message encode_open_request(const OpenRequest& r);
-core::Result<OpenRequest> decode_open_request(const net::Message& m);
-
-net::Message encode_open_reply(const OpenReply& r);
-core::Result<OpenReply> decode_open_reply(const net::Message& m);
-
-net::Message encode_block_read_request(const BlockReadRequest& r);
-core::Result<BlockReadRequest> decode_block_read_request(const net::Message& m);
-
-net::Message encode_block_read_reply(const BlockReadReply& r);
-core::Result<BlockReadReply> decode_block_read_reply(const net::Message& m);
-
-net::Message encode_block_write_request(const BlockWriteRequest& r);
-core::Result<BlockWriteRequest> decode_block_write_request(const net::Message& m);
-
-net::Message encode_block_write_reply(std::uint64_t block);
-core::Result<std::uint64_t> decode_block_write_reply(const net::Message& m);
-
-net::Message encode_error_reply(const core::Status& status);
-core::Status decode_error_reply(const net::Message& m);
-
-net::Message encode_heartbeat(const HeartbeatRequest& r);
-core::Result<HeartbeatRequest> decode_heartbeat(const net::Message& m);
-
-// Heartbeat reply: the master's merged floor snapshot rides back down, so
-// generation knowledge gossips both ways on the beat that already flows.
-net::Message encode_heartbeat_reply(
-    const std::vector<meta::GenerationFloor>& floors);
-core::Result<std::vector<meta::GenerationFloor>> decode_heartbeat_reply(
-    const net::Message& m);
-
-net::Message encode_placement_delta_request(const PlacementDeltaRequest& r);
-core::Result<PlacementDeltaRequest> decode_placement_delta_request(
-    const net::Message& m);
-
-net::Message encode_placement_delta_reply(const PlacementDeltaReply& r);
-core::Result<PlacementDeltaReply> decode_placement_delta_reply(
-    const net::Message& m);
-
-net::Message encode_meta_append_request(const MetaAppendRequest& r);
-core::Result<MetaAppendRequest> decode_meta_append_request(
-    const net::Message& m);
-
-net::Message encode_meta_append_reply(const MetaAppendReply& r);
-core::Result<MetaAppendReply> decode_meta_append_reply(const net::Message& m);
-
-// Meta status: empty request, per-member status reply.
-net::Message encode_meta_status_request();
-net::Message encode_meta_status_reply(const MetaStatus& s);
-core::Result<MetaStatus> decode_meta_status_reply(const net::Message& m);
-
-net::Message encode_failure_report(const FailureReport& r);
-core::Result<FailureReport> decode_failure_report(const net::Message& m);
-
-net::Message encode_ingest_write_request(const IngestWriteRequest& r);
-core::Result<IngestWriteRequest> decode_ingest_write_request(
-    const net::Message& m);
-
-net::Message encode_ingest_write_reply(const IngestWriteReply& r);
-core::Result<IngestWriteReply> decode_ingest_write_reply(const net::Message& m);
-
-net::Message encode_parity_delta_request(const ParityDeltaRequest& r);
-core::Result<ParityDeltaRequest> decode_parity_delta_request(
-    const net::Message& m);
-
-net::Message encode_parity_delta_reply(const ParityDeltaReply& r);
-core::Result<ParityDeltaReply> decode_parity_delta_reply(const net::Message& m);
-
-net::Message encode_fixup_report(const FixupReport& r);
-core::Result<FixupReport> decode_fixup_report(const net::Message& m);
-
-// Stats: empty request, exposition text reply.
-net::Message encode_stats_request();
-net::Message encode_stats_reply(const std::string& text);
-core::Result<std::string> decode_stats_reply(const net::Message& m);
+// ---- observability -----------------------------------------------------------
 
 // Span export: one batch of finished spans from `host`, stamped with the
 // producer's clock at send time so the collector can bound the host's
@@ -391,24 +326,54 @@ struct SpanExportBatch {
   std::vector<obs::SpanRecord> spans;
 };
 
-net::Message encode_span_export_request(const SpanExportBatch& b);
-core::Result<SpanExportBatch> decode_span_export_request(const net::Message& m);
+// How many spans the collector accepted.
+struct SpanExportReply {
+  std::uint64_t accepted = 0;
+};
 
-// Reply: how many spans the collector accepted.
-net::Message encode_span_export_reply(std::uint64_t accepted);
-core::Result<std::uint64_t> decode_span_export_reply(const net::Message& m);
+// What an introspection request asks the answering process for.
+enum class IntrospectKind : std::uint8_t {
+  // The component's metrics registry as Prometheus-style exposition text.
+  kStats = 0,
+  // Master only: the collector's slowest-trace critical-path breakdown
+  // plus the alert engine's status text.
+  kTraceReport = 1,
+  // The process's flamegraph-collapsed stage profile ("a;b;c count"
+  // lines); empty when its obs::Profiler is not sampling.
+  kProfile = 2,
+};
 
-// Trace report: empty request; reply is the collector's slowest-trace
-// critical-path breakdown plus the alert engine's status text.
-net::Message encode_trace_report_request();
-net::Message encode_trace_report_reply(const std::string& text);
-core::Result<std::string> decode_trace_report_reply(const net::Message& m);
+struct IntrospectRequest {
+  IntrospectKind kind = IntrospectKind::kStats;
+};
 
-// Profile: empty request; reply is the answering process's
-// flamegraph-collapsed stage profile ("stage;stage count" lines).
-net::Message encode_profile_request();
-net::Message encode_profile_reply(const std::string& text);
-core::Result<std::string> decode_profile_reply(const net::Message& m);
+struct IntrospectReply {
+  std::string text;
+};
+
+// ---- encode / decode ---------------------------------------------------------
+
+// Defined in protocol.cpp for every message struct above.  decode<T>() of
+// a reply turns a kErrorReply frame into its Status; decode<T>() of a
+// request rejects it like any other wrong type.
+template <typename T>
+net::Message encode(const T& message);
+template <typename T>
+core::Result<T> decode(const net::Message& m);
+
+net::Message encode_error_reply(const core::Status& status);
+// OK for any frame but kErrorReply; kDataLoss for a malformed one (an
+// error frame must carry a non-OK code).
+core::Status decode_error_reply(const net::Message& m);
+
+// bench_e2e/probes.cpp times the reply codec under these two names.
+inline net::Message encode_block_read_reply(const BlockReadReply& r) {
+  return encode(r);
+}
+inline core::Result<BlockReadReply> decode_block_read_reply(
+    const net::Message& m) {
+  return decode<BlockReadReply>(m);
+}
 
 // Opens a transport to a server address.  Pipe deployments and TCP
 // deployments provide different connectors; the client library and the

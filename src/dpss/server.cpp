@@ -458,7 +458,7 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
     fwd.ack_policy = req.ack_policy;
     fwd.data = std::move(req.data);
     fwd.chain.assign(req.chain.begin() + 1, req.chain.end());
-    net::Message fwd_msg = encode_ingest_write_request(fwd);
+    net::Message fwd_msg = encode(fwd);
     if (trace.sampled()) {
       // The forward is a new hop of the same request: same trace, fresh
       // span, with a lifeline event marking the relay.
@@ -478,7 +478,7 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
                                    fwd.chain.size());
     bool forwarded = false;
     if (exchanged.is_ok()) {
-      auto sub = decode_ingest_write_reply(exchanged.value());
+      auto sub = decode<IngestWriteReply>(exchanged.value());
       if (sub.is_ok()) {
         forwarded = true;
         chain_forwards_.inc();
@@ -502,7 +502,7 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
     pd.block = d.block;
     pd.coefficient = d.coefficient;
     pd.delta = delta;
-    net::Message pd_msg = encode_parity_delta_request(pd);
+    net::Message pd_msg = encode(pd);
     if (trace.sampled()) {
       pd_msg.trace_id = trace.trace_id;
       pd_msg.span_id = obs::new_span_id();
@@ -518,7 +518,7 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
     auto exchanged = peer_exchange(d.server, pd_msg, /*lane=*/0);
     bool applied = false;
     if (exchanged.is_ok()) {
-      applied = decode_parity_delta_reply(exchanged.value()).is_ok();
+      applied = decode<ParityDeltaReply>(exchanged.value()).is_ok();
     }
     if (applied) {
       reply.acks += 1;
@@ -526,7 +526,7 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
       reply.missed.push_back(d.server);
     }
   }
-  return encode_ingest_write_reply(reply);
+  return encode(reply);
 }
 
 net::Message BlockServer::handle_parity_delta(ParityDeltaRequest&& req) {
@@ -565,7 +565,7 @@ net::Message BlockServer::handle_parity_delta(ParityDeltaRequest&& req) {
   ParityDeltaReply reply;
   reply.block = req.block;
   reply.generation = next_gen;
-  return encode_parity_delta_reply(reply);
+  return encode(reply);
 }
 
 void BlockServer::serve(net::StreamPtr stream) {
@@ -644,7 +644,7 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
       case kBlockReadRequest: {
         OBS_STAGE("serv.read");
         latency = &read_seconds_;
-        auto req = decode_block_read_request(msg);
+        auto req = decode<BlockReadRequest>(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;
@@ -683,13 +683,13 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
         } else {
           r.data = std::move(data).take();
         }
-        reply = encode_block_read_reply(r);
+        reply = encode(r);
         break;
       }
       case kBlockWriteRequest: {
         OBS_STAGE("serv.write");
         latency = &write_seconds_;
-        auto req = decode_block_write_request(msg);
+        auto req = decode<BlockWriteRequest>(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;
@@ -702,14 +702,14 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
                 : put_block_at(req.value().dataset, block,
                                std::move(req.value().data),
                                req.value().generation);
-        reply = st.is_ok() ? encode_block_write_reply(block)
+        reply = st.is_ok() ? encode(BlockWriteReply{block})
                            : encode_error_reply(st);
         break;
       }
       case kIngestWriteRequest: {
         OBS_STAGE("serv.ingest");
         latency = &write_seconds_;
-        auto req = decode_ingest_write_request(msg);
+        auto req = decode<IngestWriteRequest>(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;
@@ -720,7 +720,7 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
       }
       case kParityDeltaRequest: {
         latency = &write_seconds_;
-        auto req = decode_parity_delta_request(msg);
+        auto req = decode<ParityDeltaRequest>(msg);
         if (!req.is_ok()) {
           reply = encode_error_reply(req.status());
           break;
@@ -728,13 +728,21 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
         reply = handle_parity_delta(std::move(req).take());
         break;
       }
-      case kStatsRequest:
-        reply = encode_stats_reply(registry_.render_text());
+      case kIntrospectRequest: {
+        auto req = decode<IntrospectRequest>(msg);
+        if (!req.is_ok()) {
+          reply = encode_error_reply(req.status());
+        } else if (req.value().kind == IntrospectKind::kTraceReport) {
+          reply = encode_error_reply(core::invalid_argument(
+              "trace reports are served by the master"));
+        } else {
+          reply = encode(IntrospectReply{
+              req.value().kind == IntrospectKind::kStats
+                  ? registry_.render_text()
+                  : obs::Profiler::global().render_collapsed()});
+        }
         break;
-      case kProfileRequest:
-        reply =
-            encode_profile_reply(obs::Profiler::global().render_collapsed());
-        break;
+      }
       default:
         reply = encode_error_reply(
             core::invalid_argument("unknown request type at block server"));

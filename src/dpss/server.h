@@ -188,7 +188,8 @@ class BlockServer {
   std::uint64_t read_joins() const { return read_joins_.value(); }
 
   // This server's metrics plane: the request counters above plus the
-  // read/write latency histograms, rendered by the kStatsRequest handler.
+  // read/write latency histograms, the text of an IntrospectKind::kStats
+  // request.
   // The deployment registers transport collectors (reactor loop stats,
   // front-door gauges) here too.
   obs::MetricsRegistry& metrics_registry() { return registry_; }

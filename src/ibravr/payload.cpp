@@ -199,8 +199,13 @@ core::Result<HeavyPayload> decode_heavy(const net::Message& m) {
   if (!img.is_ok()) return img.status();
   p.texture = std::move(img).take();
 
+  // Each count is checked against the bytes left before anything is sized
+  // by it: an offset takes 4 bytes on the wire, a grid segment 28.
   auto offset_count = r.u64();
   if (!offset_count.is_ok()) return offset_count.status();
+  if (offset_count.value() > r.remaining() / 4) {
+    return core::data_loss("heavy payload offset count exceeds the payload");
+  }
   p.offsets.resize(offset_count.value());
   for (auto& o : p.offsets) {
     auto f = r.f32();
@@ -209,6 +214,9 @@ core::Result<HeavyPayload> decode_heavy(const net::Message& m) {
   }
   auto grid_count = r.u64();
   if (!grid_count.is_ok()) return grid_count.status();
+  if (grid_count.value() > r.remaining() / 28) {
+    return core::data_loss("heavy payload grid count exceeds the payload");
+  }
   p.grid.resize(grid_count.value());
   for (auto& seg : p.grid) {
     auto ax = r.f32(); if (!ax.is_ok()) return ax.status();

@@ -1,5 +1,6 @@
 #include "net/message.h"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace visapult::net {
@@ -46,9 +47,20 @@ core::Result<Message> recv_message(ByteStream& stream, std::size_t max_payload) 
   msg.type = type;
   std::memcpy(&msg.trace_id, header + 16, 8);
   std::memcpy(&msg.span_id, header + 24, 8);
-  msg.payload.resize(len);
-  if (len > 0) {
-    if (auto st = stream.recv_all(msg.payload.data(), len); !st.is_ok()) return st;
+  // The buffer grows as bytes arrive instead of trusting the header: a
+  // peer that claims gigabytes must send them before they are held.  The
+  // first chunk (up to 1 MiB) takes a 64 KiB block or a 256 KiB texture in
+  // one allocation; after it the held size doubles.
+  constexpr std::uint64_t kFirstChunk = 1 << 20;
+  std::uint64_t have = 0;
+  while (have < len) {
+    const std::uint64_t next = std::min(len, std::max(kFirstChunk, 2 * have));
+    msg.payload.resize(next);
+    if (auto st = stream.recv_all(msg.payload.data() + have, next - have);
+        !st.is_ok()) {
+      return st;
+    }
+    have = next;
   }
   return msg;
 }

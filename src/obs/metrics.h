@@ -3,7 +3,7 @@
 // The paper's methodology was instrumentation-first -- NetLogger event logs
 // at every component.  This module is the aggregate side of that story: the
 // always-on counters and distributions that every subsystem (cache, server,
-// client, reactor) feeds, snapshotted on demand by the kStats RPC and
+// client, reactor) feeds, snapshotted on demand by kStats introspection and
 // rendered as Prometheus-style text for dpss_tool and CI.
 //
 // Hot-path cost model: Counter::add is one relaxed fetch_add on a
@@ -154,8 +154,8 @@ std::string escape_label_value(const std::string& value);
 std::string label_pair(const std::string& key, const std::string& value);
 
 // Named instruments plus exposition-time collectors.  Every component that
-// serves a kStats RPC owns one registry; MetricsRegistry::global() is the
-// ambient default for code with no better home.
+// answers kStats introspection owns one registry; MetricsRegistry::global()
+// is the ambient default for code with no better home.
 class MetricsRegistry {
  public:
   using Collector = std::function<void(std::vector<Sample>&)>;

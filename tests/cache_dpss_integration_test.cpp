@@ -127,10 +127,10 @@ TEST(ServerCacheTest, ThrottledWarmReadsDoNotSleep) {
     req.dataset = ds;
     req.block = b;
     ASSERT_TRUE(net::send_message(*client_end,
-                                  encode_block_read_request(req)).is_ok());
+                                  encode(req)).is_ok());
     auto msg = net::recv_message(*client_end);
     ASSERT_TRUE(msg.is_ok());
-    auto reply = decode_block_read_reply(msg.value());
+    auto reply = decode<BlockReadReply>(msg.value());
     ASSERT_TRUE(reply.is_ok());
     ASSERT_EQ(reply.value().data.size(), 4096u);
   };
@@ -173,10 +173,10 @@ TEST(ServerCacheTest, PrefetchWarmsSequentialRun) {
     req.dataset = ds;
     req.block = b;
     ASSERT_TRUE(net::send_message(*client_end,
-                                  encode_block_read_request(req)).is_ok());
+                                  encode(req)).is_ok());
     auto msg = net::recv_message(*client_end);
     ASSERT_TRUE(msg.is_ok());
-    ASSERT_TRUE(decode_block_read_reply(msg.value()).is_ok());
+    ASSERT_TRUE(decode<BlockReadReply>(msg.value()).is_ok());
   }
   client_end->close();
   server.shutdown();

@@ -119,6 +119,22 @@ TEST(CodecIngest, HalfEnabledProfileIngestsAsClassicAndStaysOpenable) {
   EXPECT_EQ(std::memcmp(buf.data(), expect.data(), buf.size()), 0);
 }
 
+TEST(CodecIngest, HalfEnabledProfileSyncsThroughPlacementDeltas) {
+  // The master's log keeps the {0, m} profile as registered; placement
+  // deltas serve those log entries, so they must decode as well.
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  PipeDeployment deployment(3);
+  ASSERT_TRUE(
+      deployment.ingest(desc, 8192, 1, 1, codec::EcProfile{0, 2}).is_ok());
+  auto client = deployment.make_client();
+  auto epoch = client.sync_placement(desc.name);
+  ASSERT_TRUE(epoch.is_ok()) << epoch.status().to_string();
+  EXPECT_EQ(epoch.value(), deployment.master().meta_epoch());
+  auto mirrored = client.placement_mirror().lookup(desc.name);
+  ASSERT_TRUE(mirrored.has_value());
+  EXPECT_FALSE(mirrored->placement.ec.enabled());
+}
+
 TEST(CodecFailover, HealthyScanNeverTouchesParity) {
   vol::DatasetDesc desc = vol::small_combustion_dataset(2);
   PipeDeployment deployment(8);

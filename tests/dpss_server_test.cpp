@@ -40,11 +40,11 @@ void store_cold_blocks(BlockServer& server, std::uint64_t count = 4) {
 }
 
 net::Message read_request(std::uint64_t block) {
-  return encode_block_read_request(BlockReadRequest{"ds", block, {}});
+  return encode(BlockReadRequest{"ds", block, {}});
 }
 
 std::uint8_t first_byte(const net::Message& reply) {
-  auto decoded = decode_block_read_reply(reply);
+  auto decoded = decode<BlockReadReply>(reply);
   if (!decoded.is_ok() || decoded.value().data.empty()) return 0;
   return decoded.value().data[0];
 }
@@ -92,10 +92,10 @@ TEST(BlockServer, ServesReadsOverStream) {
   server.serve(server_end);
 
   BlockReadRequest req{"ds", 7, {}};
-  ASSERT_TRUE(net::send_message(*client, encode_block_read_request(req)).is_ok());
+  ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
   auto msg = net::recv_message(*client);
   ASSERT_TRUE(msg.is_ok());
-  auto reply = decode_block_read_reply(msg.value());
+  auto reply = decode<BlockReadReply>(msg.value());
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(reply.value().block, 7u);
   EXPECT_EQ(reply.value().data, (std::vector<std::uint8_t>{4, 5, 6}));
@@ -113,10 +113,10 @@ TEST(BlockServer, ServesWritesOverStream) {
   req.dataset = "ds";
   req.block = 0;
   req.data = {9, 8};
-  ASSERT_TRUE(net::send_message(*client, encode_block_write_request(req)).is_ok());
+  ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
   auto msg = net::recv_message(*client);
   ASSERT_TRUE(msg.is_ok());
-  ASSERT_TRUE(decode_block_write_reply(msg.value()).is_ok());
+  ASSERT_TRUE(decode<BlockWriteReply>(msg.value()).is_ok());
   auto got = server.get_block("ds", 0);
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(got.value(), (std::vector<std::uint8_t>{9, 8}));
@@ -143,15 +143,15 @@ TEST(BlockServer, MissingBlockReadYieldsErrorReplyNotDisconnect) {
   auto [client, server_end] = net::make_pipe();
   server.serve(server_end);
   BlockReadRequest req{"nope", 0, {}};
-  ASSERT_TRUE(net::send_message(*client, encode_block_read_request(req)).is_ok());
+  ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
   auto msg = net::recv_message(*client);
   ASSERT_TRUE(msg.is_ok());
-  auto reply = decode_block_read_reply(msg.value());
+  auto reply = decode<BlockReadReply>(msg.value());
   EXPECT_FALSE(reply.is_ok());
   EXPECT_EQ(reply.status().code(), core::StatusCode::kNotFound);
   // The connection survives an application-level error.
   server.put_block("nope", 0, {1});
-  ASSERT_TRUE(net::send_message(*client, encode_block_read_request(req)).is_ok());
+  ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
   EXPECT_TRUE(net::recv_message(*client).is_ok());
   client->close();
   server.shutdown();
@@ -170,10 +170,10 @@ TEST(BlockServer, ConcurrentConnections) {
     threads.emplace_back([client = client] {
       for (std::uint64_t b = 0; b < 32; ++b) {
         BlockReadRequest req{"ds", b, {}};
-        ASSERT_TRUE(net::send_message(*client, encode_block_read_request(req)).is_ok());
+        ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
         auto msg = net::recv_message(*client);
         ASSERT_TRUE(msg.is_ok());
-        auto reply = decode_block_read_reply(msg.value());
+        auto reply = decode<BlockReadReply>(msg.value());
         ASSERT_TRUE(reply.is_ok());
         EXPECT_EQ(reply.value().data[0], static_cast<std::uint8_t>(b));
       }

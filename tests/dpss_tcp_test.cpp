@@ -265,5 +265,54 @@ TEST(DpssTcp, AclOverSockets) {
   deployment.stop();
 }
 
+// A count prefix claiming 2^32-1 elements in a frame of a few bytes must
+// be answered with kDataLoss: sizing a vector by it would throw on the
+// master's reactor loop and end the process.  The master then goes on
+// serving opens.
+TEST(DpssTcp, MasterSurvivesHostileCountPrefixes) {
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  TcpDeployment deployment(2);
+  ASSERT_TRUE(deployment.ingest(desc, 8192).is_ok());
+
+  net::Writer beat;  // host, port, requests served, then the floor count
+  beat.str("x");
+  beat.u32(1);
+  beat.u64(0);
+  beat.u32(0xffffffffu);
+  net::Writer spans;  // host, sent_at, then the span count
+  spans.str("x");
+  spans.f64(0.0);
+  spans.u32(0xffffffffu);
+  net::Message hostile[2];
+  hostile[0].type = kHeartbeat;
+  hostile[0].payload = beat.take();
+  hostile[1].type = kSpanExportRequest;
+  hostile[1].payload = spans.take();
+
+  auto wire = net::TcpStream::connect("127.0.0.1", deployment.master_port());
+  ASSERT_TRUE(wire.is_ok());
+  for (const net::Message& frame : hostile) {
+    SCOPED_TRACE(frame.type);
+    ASSERT_TRUE(net::send_message(*wire.value(), frame).is_ok());
+    auto reply = net::recv_message(*wire.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(reply.value().type, kErrorReply);
+    EXPECT_EQ(decode_error_reply(reply.value()).code(),
+              core::StatusCode::kDataLoss);
+  }
+
+  auto client = deployment.make_client();
+  ASSERT_TRUE(client.is_ok());
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  const vol::Volume v = desc.generate(0);
+  std::vector<std::uint8_t> buf(v.byte_size());
+  auto n = file.value()->read(buf.data(), buf.size());
+  ASSERT_TRUE(n.is_ok());
+  EXPECT_EQ(n.value(), v.byte_size());
+  EXPECT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
+  deployment.stop();
+}
+
 }  // namespace
 }  // namespace visapult::dpss

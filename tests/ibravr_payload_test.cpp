@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace visapult::ibravr {
 namespace {
 
@@ -98,6 +100,21 @@ TEST(Payload, TruncatedHeavyRejected) {
   auto msg = encode_heavy(p);
   msg.payload.resize(msg.payload.size() - 8);
   EXPECT_FALSE(decode_heavy(msg).is_ok());
+}
+
+TEST(Payload, HeavyCountsBeyondPayloadRejected) {
+  // An empty heavy payload is 44 bytes; its offset count sits at byte 28
+  // and its grid count at byte 36.  A count of 2^40 in either must be
+  // rejected before anything is sized by it.
+  for (std::size_t at : {28u, 36u}) {
+    auto msg = encode_heavy(HeavyPayload{});
+    ASSERT_EQ(msg.payload.size(), 44u);
+    const std::uint64_t claimed = 1ull << 40;
+    std::memcpy(msg.payload.data() + at, &claimed, 8);
+    auto back = decode_heavy(msg);
+    ASSERT_FALSE(back.is_ok());
+    EXPECT_EQ(back.status().code(), core::StatusCode::kDataLoss);
+  }
 }
 
 TEST(Payload, WrongMessageTypeRejected) {

@@ -128,10 +128,10 @@ TEST(MetaCluster, NonOwnerMemberForwardsOpenToOwnerLeader) {
   OpenRequest req;
   req.dataset = name;
   ASSERT_TRUE(net::send_message(*stream.value(),
-                                encode_open_request(req)).is_ok());
+                                encode(req)).is_ok());
   auto wire = net::recv_message(*stream.value());
   ASSERT_TRUE(wire.is_ok());
-  auto reply = decode_open_reply(wire.value());
+  auto reply = decode<OpenReply>(wire.value());
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(reply.value().layout.total_bytes, layout.total_bytes);
   EXPECT_GT(reply.value().catalog_epoch, 0u);
@@ -158,6 +158,29 @@ TEST(MetaCluster, FollowersReplicateByteIdenticalCatalogs) {
       EXPECT_EQ(cluster.member(j, k).meta_epoch(), leader_epoch);
     }
   }
+}
+
+TEST(MetaCluster, FollowersReplicateHalfSetEcProfile) {
+  // A half-set profile such as {0, m} registers as classic striping; the
+  // raw log entry that carries it must still replicate to followers.
+  MetaCluster cluster(1, 3);
+  Store store;
+  PlacementOptions placement;
+  placement.ec = codec::EcProfile{0, 2};
+  ASSERT_TRUE(cluster
+                  .register_dataset("half-set", small_layout(1),
+                                    {store.address}, placement)
+                  .is_ok());
+  const std::string leader_print = cluster.member(0, 0).catalog().fingerprint();
+  for (std::uint32_t k = 1; k < cluster.replica_count(); ++k) {
+    EXPECT_EQ(cluster.member(0, k).catalog().fingerprint(), leader_print)
+        << "replica " << k;
+    EXPECT_EQ(cluster.member(0, k).meta_epoch(),
+              cluster.member(0, 0).meta_epoch());
+  }
+  DpssClient client = sharded_client(cluster, store);
+  ASSERT_TRUE(client.sync_shard(0).is_ok());
+  EXPECT_TRUE(client.placement_mirror().lookup("half-set").has_value());
 }
 
 // The acceptance property: kill the owning shard's leader, and opens keep

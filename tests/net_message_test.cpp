@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "net/stream.h"
@@ -74,6 +77,33 @@ TEST(Message, OversizedPayloadRejected) {
   ASSERT_TRUE(send_message(*a, msg).is_ok());
   auto got = recv_message(*b, /*max_payload=*/512);
   EXPECT_FALSE(got.is_ok());
+}
+
+// Peak resident set of this process (VmHWM), in bytes; 0 if unknown.
+std::size_t peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoul(line.substr(6)) * 1024;
+  }
+  return 0;
+}
+
+TEST(Message, ClaimedLengthIsNotAllocatedUpFront) {
+  // A header claiming 1 GiB, then 16 bytes and a close: the receive must
+  // fail without ever holding anything near the claimed size.
+  auto [a, b] = make_pipe();
+  std::uint8_t header[kFrameHeaderBytes] = {};
+  const std::uint32_t magic = kMessageMagic;
+  const std::uint64_t claimed = 1ull << 30;
+  std::memcpy(header, &magic, 4);
+  std::memcpy(header + 8, &claimed, 8);
+  ASSERT_TRUE(a->send_all(header, sizeof header).is_ok());
+  ASSERT_TRUE(a->send_bytes(std::vector<std::uint8_t>(16, 0x5A)).is_ok());
+  a->close();
+  const std::size_t before = peak_rss_bytes();
+  EXPECT_FALSE(recv_message(*b).is_ok());
+  EXPECT_LT(peak_rss_bytes() - before, std::size_t{64} << 20);
 }
 
 TEST(Message, SequentialMessagesStayFramed) {

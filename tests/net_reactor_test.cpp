@@ -456,7 +456,7 @@ TEST(ReactorServer, ShimAndReactorServeIdenticalBlockReads) {
   dpss::BlockReadRequest req;
   req.dataset = "ds";
   req.block = 0;
-  const Message wire_req = dpss::encode_block_read_request(req);
+  const Message wire_req = dpss::encode(req);
 
   // Path 1: blocking shim over an in-memory pipe.
   auto [client_end, server_end] = make_pipe();
@@ -485,7 +485,7 @@ TEST(ReactorServer, ShimAndReactorServeIdenticalBlockReads) {
 
   EXPECT_EQ(shim_reply.value().type, reactor_reply.value().type);
   EXPECT_EQ(shim_reply.value().payload, reactor_reply.value().payload);
-  auto decoded = dpss::decode_block_read_reply(reactor_reply.value());
+  auto decoded = dpss::decode<dpss::BlockReadReply>(reactor_reply.value());
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value().data, block);
 }

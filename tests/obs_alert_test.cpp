@@ -163,7 +163,7 @@ TEST(MasterAlerts, TickScrapesAndStatsExpose) {
   EXPECT_EQ(master.alert_engine().firing_count(), 1u);
 
   // The firing alert rides the master's wire exposition.
-  auto stats = client.master_stats();
+  auto stats = client.introspect(dpss::IntrospectKind::kStats);
   ASSERT_TRUE(stats.is_ok());
   EXPECT_NE(stats.value().find("dpss_alert_firing{alert=\"open_surge\"} 1"),
             std::string::npos);

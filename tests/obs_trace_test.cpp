@@ -224,7 +224,7 @@ TEST(ObsTrace, ServerJoinedAfterCollectionStartsExportsItsSpans) {
   BlockReadRequest req;
   req.dataset = "joiner";
   req.block = 0;
-  net::Message msg = encode_block_read_request(req);
+  net::Message msg = encode(req);
   msg.trace_id = obs::new_trace_id();
   msg.span_id = obs::new_span_id();
   const net::Message reply =
