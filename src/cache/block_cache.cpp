@@ -145,6 +145,7 @@ bool BlockCache::insert(const BlockKey& key, BlockData data, bool prefetched) {
 
 bool BlockCache::insert(const BlockKey& key, std::vector<std::uint8_t> bytes,
                         bool prefetched) {
+  metrics_.count_copied(bytes.size());
   return insert(
       key, std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)),
       prefetched);

@@ -10,7 +10,10 @@
 // readers on different shards never contend.  Block payloads are
 // shared_ptr<const vector<uint8_t>>, so even an evicted block stays valid
 // for readers that already hold it -- pins additionally guarantee
-// *residency* (refill protocols and zero-copy servers want both).
+// *residency* (refill protocols and zero-copy servers want both).  The
+// DPSS block server is such a server: its store and this tier hold the
+// same buffer for each block, and its replies are encoded straight from
+// it (dpss/server.h).
 //
 // Instrumentation: every hit/miss/insert/eviction is counted in
 // cache::Metrics and, when a NetLogger is attached, bracketed with
@@ -100,7 +103,8 @@ class BlockCache {
   // admission reject -- when the block cannot fit (payload larger than the
   // shard budget, or everything else pinned).  `prefetched` marks entries
   // brought in by read-ahead; the first demand hit on one counts as a
-  // prefetch hit.
+  // prefetch hit.  The vector form wraps the bytes in a buffer of the
+  // tier's own and counts them as copied (MetricsSnapshot::copied_bytes).
   bool insert(const BlockKey& key, BlockData data, bool prefetched = false);
   bool insert(const BlockKey& key, std::vector<std::uint8_t> bytes,
               bool prefetched = false);

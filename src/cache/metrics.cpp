@@ -34,6 +34,7 @@ MetricsSnapshot Metrics::snapshot() const {
   s.admit_rejects = admit_rejects_.value();
   s.prefetch_issued = prefetch_issued_.value();
   s.prefetch_hits = prefetch_hits_.value();
+  s.copied_bytes = copied_bytes_.value();
   return s;
 }
 
@@ -45,6 +46,7 @@ void Metrics::reset() {
   admit_rejects_.reset();
   prefetch_issued_.reset();
   prefetch_hits_.reset();
+  copied_bytes_.reset();
 }
 
 void Metrics::collect(const std::string& prefix,
@@ -60,6 +62,7 @@ void Metrics::collect(const std::string& prefix,
   emit("_admit_rejects_total", static_cast<double>(s.admit_rejects));
   emit("_prefetch_issued_total", static_cast<double>(s.prefetch_issued));
   emit("_prefetch_hits_total", static_cast<double>(s.prefetch_hits));
+  emit("_copied_bytes_total", static_cast<double>(s.copied_bytes));
 }
 
 }  // namespace visapult::cache

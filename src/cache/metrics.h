@@ -26,6 +26,10 @@ struct MetricsSnapshot {
   std::uint64_t admit_rejects = 0;   // blocks that could not be admitted
   std::uint64_t prefetch_issued = 0; // read-ahead fetches scheduled
   std::uint64_t prefetch_hits = 0;   // demand hits on prefetched entries
+  // Bytes admitted as a vector, which the tier wraps in a buffer of its
+  // own: a second copy whenever the caller keeps the bytes too.  Blocks
+  // admitted as BlockData share the caller's buffer and add nothing.
+  std::uint64_t copied_bytes = 0;
   std::size_t bytes = 0;             // resident bytes (charged sizes)
   std::size_t capacity_bytes = 0;    // configured budget
   std::size_t entries = 0;           // resident block count
@@ -47,6 +51,7 @@ class Metrics {
   void count_admit_reject() { admit_rejects_.inc(); }
   void count_prefetch_issued() { prefetch_issued_.inc(); }
   void count_prefetch_hit() { prefetch_hits_.inc(); }
+  void count_copied(std::uint64_t bytes) { copied_bytes_.add(bytes); }
 
   // Counter fields only; the cache fills bytes/capacity/entries.
   MetricsSnapshot snapshot() const;
@@ -65,6 +70,7 @@ class Metrics {
   obs::Counter admit_rejects_;
   obs::Counter prefetch_issued_;
   obs::Counter prefetch_hits_;
+  obs::Counter copied_bytes_;
 };
 
 }  // namespace visapult::cache

@@ -557,6 +557,8 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
       degraded_writes_(registry_.counter("dpss_client_degraded_writes_total")),
       stale_retries_(
           registry_.counter("dpss_client_stale_read_retries_total")),
+      copy_encode_(registry_.counter("dpss_client_copy_encode_bytes_total")),
+      copy_user_(registry_.counter("dpss_client_copy_user_bytes_total")),
       read_seconds_(registry_.histogram("dpss_client_read_seconds")),
       write_seconds_(registry_.histogram("dpss_client_write_seconds")) {
   server_alive_.reserve(conns_.size());
@@ -707,7 +709,8 @@ core::Result<BlockReadReply> DpssFile::take_block(const net::Message& msg) {
   BlockReadReply& r = reply.value();
   wire_bytes_.add(r.data.size());
   if (r.compressed) {
-    auto raw = decompress_block(r.data);
+    // A block never decompresses past the layout's block size.
+    auto raw = decompress_block(r.data, layout_.block_bytes);
     if (!raw.is_ok()) return raw.status();
     r.data = std::move(raw).take();
     r.compressed = false;
@@ -1045,6 +1048,7 @@ core::Status DpssFile::fetch_blocks(std::vector<BlockRef> refs) {
       return core::data_loss("block shorter than expected");
     }
     std::memcpy(r.dest, it->second->data() + r.offset_in_block, r.length);
+    copy_user_.add(r.length);
   }
 
   if (prefetcher_) {
@@ -1207,6 +1211,7 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
       plan.req.block = w.block;
       plan.req.ack_policy = ack_policy_;
       plan.req.data.assign(w.data, w.data + w.len);
+      copy_user_.add(w.len);
       int primary = -1;
       if (ec_.valid()) {
         primary = pick_server(w.block);
@@ -1269,6 +1274,7 @@ core::Status DpssFile::write_chain(std::uint64_t first_block,
     const core::Status failure = exchange(
         blocks,
         [&](std::size_t s, std::size_t i) {
+          copy_encode_.add(by_primary[s][i].req.data.size());
           return encode(by_primary[s][i].req);
         },
         [&](std::size_t s, std::size_t, net::Message& msg) {

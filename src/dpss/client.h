@@ -504,6 +504,11 @@ class DpssFile {
   obs::Counter& reconstructed_reads_;
   obs::Counter& degraded_writes_;
   obs::Counter& stale_retries_;
+  // Block bytes this file copied, by site: into write frames (encode) and
+  // between the caller's buffer and the library (user).  Decoding a reply
+  // copies its wire bytes (wire_bytes_) out of the frame.
+  obs::Counter& copy_encode_;
+  obs::Counter& copy_user_;
   obs::Histogram& read_seconds_;
   obs::Histogram& write_seconds_;
   // Tracing plane (enable_tracing): the logger lifeline events go to, the

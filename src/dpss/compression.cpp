@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 namespace visapult::dpss {
 
@@ -235,14 +236,23 @@ core::Result<std::vector<std::uint8_t>> compress_block(
 }
 
 core::Result<std::vector<std::uint8_t>> decompress_block(
-    const std::vector<std::uint8_t>& wire) {
+    const std::vector<std::uint8_t>& wire, std::uint64_t max_raw_bytes) {
   auto header = get_header(wire);
   if (!header.is_ok()) return header.status();
   const Header h = header.value();
+  // Every buffer below is sized from raw_len: check it before any is.
+  if (h.raw_len > max_raw_bytes) {
+    return core::data_loss("compressed block claims " +
+                           std::to_string(h.raw_len) + " raw bytes, over " +
+                           std::to_string(max_raw_bytes));
+  }
   const std::uint8_t* payload = wire.data() + kHeaderBytes;
 
   switch (static_cast<Codec>(h.codec)) {
     case Codec::kNone: {
+      if (h.comp_len != h.raw_len) {
+        return core::data_loss("uncompressed block length mismatch");
+      }
       return std::vector<std::uint8_t>(payload, payload + h.comp_len);
     }
     case Codec::kLossless: {

@@ -43,9 +43,11 @@ core::Result<std::vector<std::uint8_t>> compress_block(
     const std::vector<std::uint8_t>& raw, const CompressionConfig& config);
 
 // Invert compress_block.  For kLossyQuant the result differs from the
-// input by at most (max-min) / (2^bits - 1) per value.
+// input by at most (max-min) / (2^bits - 1) per value.  A frame claiming
+// more than `max_raw_bytes` of raw data (the most the caller accepts, e.g.
+// its layout's block size) is kDataLoss before anything is allocated.
 core::Result<std::vector<std::uint8_t>> decompress_block(
-    const std::vector<std::uint8_t>& wire);
+    const std::vector<std::uint8_t>& wire, std::uint64_t max_raw_bytes);
 
 // Compression ratio raw/wire for reporting (1.0 = no gain).
 double compression_ratio(std::size_t raw_bytes, std::size_t wire_bytes);

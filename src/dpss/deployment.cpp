@@ -54,6 +54,9 @@ void collect_front_stats(const std::string& prefix,
        static_cast<double>(s.queued_write_hwm_bytes));
   emit("_conn_write_queue_hwm_bytes",
        static_cast<double>(s.conn_write_queue_hwm_bytes));
+  emit("_send_calls_total", static_cast<double>(s.send_calls));
+  emit("_recv_calls_total", static_cast<double>(s.recv_calls));
+  emit("_copy_bytes_total", static_cast<double>(s.copy_bytes));
   // USE view of the front door: bytes moved (utilization) and reply
   // backlog (saturation).
   const std::string label = obs::label_pair("front", role);
@@ -937,6 +940,15 @@ core::Status TcpDeployment::open_master_door() {
         for (const auto& l : loops)
           busy_max = std::max(busy_max, l.busy_fraction());
         out.push_back({"dpss_util_loop_busy_fraction_max", "", busy_max});
+        // Every TcpStream in this process: the client and peer side of the
+        // socket-call count the reactor keeps for its doors.
+        const net::TcpCallCounts tcp = net::tcp_call_counts();
+        out.push_back({"net_tcp_send_calls_total", "",
+                       static_cast<double>(tcp.send_calls)});
+        out.push_back({"net_tcp_recv_calls_total", "",
+                       static_cast<double>(tcp.recv_calls)});
+        out.push_back({"net_tcp_frames_sent_total", "",
+                       static_cast<double>(tcp.frames_sent)});
         collect_front_stats("dpss_master_net", master_net_stats(), out,
                             "master");
       });

@@ -64,9 +64,21 @@ struct ErrorFrame {
   std::string message;
 };
 
-// Encodes a value's fields in order.
+// Encodes a value's fields in order.  A sizing writer only adds up the
+// bytes, so encode() can allocate the frame once: a block field followed
+// by more fields would otherwise regrow the buffer and copy the block again.
 class Writer {
  public:
+  explicit Writer(bool sizing = false) : sizing_(sizing) {}
+
+  // Write `bytes` wherever the field at `field` would go (see encode()).
+  void substitute(const std::vector<std::uint8_t>* field,
+                  const std::vector<std::uint8_t>* bytes) {
+    field_ = field;
+    bytes_ = bytes;
+  }
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   template <typename... Fs>
   void frame(MessageType type, Fs&&... fields) {
     type_ = type;
@@ -95,17 +107,20 @@ class Writer {
   template <typename T>
   void write(const T& x) {
     if constexpr (std::is_same_v<T, bool>) {
-      out_.u8(x ? 1 : 0);
+      write(static_cast<std::uint8_t>(x ? 1 : 0));
     } else if constexpr (std::is_enum_v<T>) {
       write(static_cast<std::make_unsigned_t<std::underlying_type_t<T>>>(x));
     } else if constexpr (std::is_arithmetic_v<T>) {
-      out_.raw(&x, sizeof x);
+      raw(&x, sizeof x);
     } else if constexpr (std::is_same_v<T, std::string>) {
-      out_.str(x);
+      write(static_cast<std::uint32_t>(x.size()));
+      raw(x.data(), x.size());
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
-      out_.bytes(x);
+      const std::vector<std::uint8_t>& b = &x == field_ ? *bytes_ : x;
+      write(static_cast<std::uint64_t>(b.size()));
+      raw(b.data(), b.size());
     } else if constexpr (IsVector<T>::value) {
-      out_.u32(static_cast<std::uint32_t>(x.size()));
+      write(static_cast<std::uint32_t>(x.size()));
       for (const auto& e : x) write(e);
     } else if constexpr (IsAs<T>::value) {
       write(static_cast<typename T::Wire>(x.field));
@@ -116,24 +131,35 @@ class Writer {
     }
   }
 
-  std::size_t size() const { return out_.data().size(); }
+  std::size_t size() const { return size_; }
   net::Message take() {
     net::Message m;
     m.type = type_;
-    m.payload = out_.take();
+    m.payload = std::move(buf_);
     return m;
   }
 
  private:
+  void raw(const void* data, std::size_t len) {
+    size_ += len;
+    if (sizing_ || len == 0) return;
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    buf_.insert(buf_.end(), p, p + len);
+  }
+
+  bool sizing_;
   std::uint32_t type_ = 0;
-  net::Writer out_;
+  std::size_t size_ = 0;
+  std::vector<std::uint8_t> buf_;
+  const std::vector<std::uint8_t>* field_ = nullptr;
+  const std::vector<std::uint8_t>* bytes_ = nullptr;
 };
 
 // Wire bytes of the smallest T: every string and vector empty.
 template <typename T>
 std::size_t min_wire_size() {
   static const std::size_t size = [] {
-    Writer w;
+    Writer w(/*sizing=*/true);
     w.write(T{});
     return w.size();
   }();
@@ -381,13 +407,33 @@ template <typename V> void fields(V& v, IntrospectReply& m) {
   v.reply(kIntrospectReply, m.text);
 }
 
+// One sizing pass, then the frame written into a buffer of exactly that
+// size.
+template <typename T>
+net::Message encode_sized(const T& message,
+                          const std::vector<std::uint8_t>* field,
+                          const std::vector<std::uint8_t>* bytes) {
+  Writer sizer(/*sizing=*/true);
+  sizer.substitute(field, bytes);
+  sizer.write(message);
+  Writer w;
+  w.substitute(field, bytes);
+  w.reserve(sizer.size());
+  w.write(message);
+  return w.take();
+}
+
 }  // namespace
 
 template <typename T>
 net::Message encode(const T& message) {
-  Writer w;
-  w.write(message);
-  return w.take();
+  return encode_sized(message, nullptr, nullptr);
+}
+
+template <typename T>
+net::Message encode(const T& message, std::vector<std::uint8_t> T::*field,
+                    const std::vector<std::uint8_t>& bytes) {
+  return encode_sized(message, &(message.*field), &bytes);
 }
 
 template <typename T>
@@ -439,5 +485,14 @@ DPSS_MESSAGE(SpanExportReply)
 DPSS_MESSAGE(IntrospectRequest)
 DPSS_MESSAGE(IntrospectReply)
 #undef DPSS_MESSAGE
+
+// The block-carrying messages a server sends from a shared buffer.
+#define DPSS_BLOCK_MESSAGE(T)                                             \
+  template net::Message encode(const T&, std::vector<std::uint8_t> T::*, \
+                               const std::vector<std::uint8_t>&);
+DPSS_BLOCK_MESSAGE(BlockReadReply)
+DPSS_BLOCK_MESSAGE(IngestWriteRequest)
+DPSS_BLOCK_MESSAGE(ParityDeltaRequest)
+#undef DPSS_BLOCK_MESSAGE
 
 }  // namespace visapult::dpss

@@ -360,6 +360,14 @@ template <typename T>
 net::Message encode(const T& message);
 template <typename T>
 core::Result<T> decode(const net::Message& m);
+// encode(), with the block field `message.*field` read from `bytes`: a
+// server sends a block it holds in a shared buffer without first copying
+// it into the message.  The frame is the one encode() gives for the
+// message with that field set to `bytes`.  Defined for BlockReadReply,
+// IngestWriteRequest and ParityDeltaRequest.
+template <typename T>
+net::Message encode(const T& message, std::vector<std::uint8_t> T::*field,
+                    const std::vector<std::uint8_t>& bytes);
 
 net::Message encode_error_reply(const core::Status& status);
 // OK for any frame but kErrorReply; kDataLoss for a malformed one (an

@@ -10,6 +10,22 @@
 
 namespace visapult::dpss {
 
+namespace {
+
+// Take ownership of a block's bytes as the one buffer the store, the
+// memory tier and every reader share.
+cache::BlockData share(std::vector<std::uint8_t>&& bytes) {
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+}
+
+// The bytes of a block that is not stored yet.
+const std::vector<std::uint8_t>& bytes_of(const cache::BlockData& data) {
+  static const std::vector<std::uint8_t> kNone;
+  return data ? *data : kNone;
+}
+
+}  // namespace
+
 double DiskModel::block_service_seconds(std::size_t block_bytes) const {
   return seek_seconds + static_cast<double>(block_bytes) / disk_bytes_per_sec;
 }
@@ -29,6 +45,9 @@ BlockServer::BlockServer(std::string name, DiskModel disk, bool throttle,
       chain_forwards_(registry_.counter("dpss_server_chain_forwards_total")),
       parity_deltas_(registry_.counter("dpss_server_parity_deltas_total")),
       read_joins_(registry_.counter("dpss_server_read_joins_total")),
+      copy_decode_(registry_.counter("dpss_server_copy_decode_bytes_total")),
+      copy_encode_(registry_.counter("dpss_server_copy_encode_bytes_total")),
+      copy_store_(registry_.counter("dpss_server_copy_store_bytes_total")),
       in_flight_(registry_.gauge("dpss_server_in_flight")),
       read_seconds_(registry_.histogram("dpss_server_read_seconds")),
       write_seconds_(registry_.histogram("dpss_server_write_seconds")),
@@ -49,6 +68,8 @@ BlockServer::BlockServer(std::string name, DiskModel disk, bool throttle,
     out.push_back(
         {"dpss_cache_bytes", "", static_cast<double>(s.bytes)});
     out.push_back({"dpss_cache_entries", "", static_cast<double>(s.entries)});
+    out.push_back({"dpss_cache_copied_bytes_total", "",
+                   static_cast<double>(s.copied_bytes)});
     // USE view of the memory tier: occupancy (utilization) and the
     // fraction of accesses that displaced something (pressure).
     out.push_back({"dpss_util_cache_occupancy_fraction", "",
@@ -117,9 +138,8 @@ void BlockServer::set_peer_connector(Connector connector) {
 }
 
 core::Result<std::uint64_t> BlockServer::apply_write(
-    const std::string& dataset, std::uint64_t block,
-    std::vector<std::uint8_t> data, std::uint64_t generation, bool bump,
-    std::vector<std::uint8_t>* replaced) {
+    const std::string& dataset, std::uint64_t block, cache::BlockData data,
+    std::uint64_t generation, bool bump, cache::BlockData* replaced) {
   std::lock_guard lk(mu_);
   std::uint64_t current = 0;
   auto ds = store_.find(dataset);
@@ -140,15 +160,18 @@ core::Result<std::uint64_t> BlockServer::apply_write(
     next = generation;
   }
   Stored& slot = store_[dataset][block];
-  // The bytes being replaced, handed out under the SAME lock as the
-  // replacement: a parity delta computed from them is exactly the delta
-  // of this generation transition even when writers race on the block.
-  if (replaced) *replaced = std::move(slot.data);
+  // The buffer being replaced, handed out under the SAME lock as the
+  // replacement: a parity delta computed from it is exactly the delta of
+  // this generation transition even when writers race on the block.
+  // Buffers are immutable, so it keeps those bytes however many writes
+  // land after it.
+  if (replaced) *replaced = slot.data;
   slot.data = std::move(data);
   slot.generation = next;
   if (cache_) {
-    // Write-through admission under the new stamp; the old generation's
-    // key is erased so a stale entry can never satisfy a fresh lookup.
+    // Write-through admission of the store's own buffer under the new
+    // stamp; the old generation's key is erased so a stale entry can
+    // never satisfy a fresh lookup.
     if (next != current) {
       cache_->erase(cache::BlockKey{dataset, block, current});
     }
@@ -160,7 +183,8 @@ core::Result<std::uint64_t> BlockServer::apply_write(
 core::Status BlockServer::put_block(const std::string& dataset,
                                     std::uint64_t block,
                                     std::vector<std::uint8_t> data) {
-  return apply_write(dataset, block, std::move(data), 0, /*bump=*/false)
+  return apply_write(dataset, block, share(std::move(data)), 0,
+                     /*bump=*/false)
       .status();
 }
 
@@ -168,7 +192,7 @@ core::Status BlockServer::put_block_at(const std::string& dataset,
                                        std::uint64_t block,
                                        std::vector<std::uint8_t> data,
                                        std::uint64_t generation) {
-  return apply_write(dataset, block, std::move(data), generation,
+  return apply_write(dataset, block, share(std::move(data)), generation,
                      /*bump=*/false)
       .status();
 }
@@ -182,6 +206,20 @@ core::Result<std::vector<std::uint8_t>> BlockServer::get_block(
 
 core::Result<BlockServer::StampedBlock> BlockServer::stamped_block(
     const std::string& dataset, std::uint64_t block) const {
+  auto stored = find_stored(dataset, block);
+  if (!stored.is_ok()) return stored.status();
+  return StampedBlock{*stored.value().data, stored.value().generation};
+}
+
+core::Result<cache::BlockData> BlockServer::shared_block(
+    const std::string& dataset, std::uint64_t block) const {
+  auto stored = find_stored(dataset, block);
+  if (!stored.is_ok()) return stored.status();
+  return stored.value().data;
+}
+
+core::Result<BlockServer::Stored> BlockServer::find_stored(
+    const std::string& dataset, std::uint64_t block) const {
   std::lock_guard lk(mu_);
   auto ds = store_.find(dataset);
   if (ds == store_.end()) {
@@ -192,7 +230,7 @@ core::Result<BlockServer::StampedBlock> BlockServer::stamped_block(
     return core::not_found("block " + std::to_string(block) +
                            " not on server " + name_);
   }
-  return StampedBlock{b->second.data, b->second.generation};
+  return b->second;
 }
 
 std::uint64_t BlockServer::block_generation(const std::string& dataset,
@@ -260,7 +298,7 @@ std::size_t BlockServer::total_bytes() const {
   std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const auto& [name, blocks] : store_) {
-    for (const auto& [id, stored] : blocks) total += stored.data.size();
+    for (const auto& [id, stored] : blocks) total += stored.data->size();
   }
   return total;
 }
@@ -316,19 +354,16 @@ double BlockServer::pending_disk_read(const std::string& dataset,
   return it->second;
 }
 
-core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
+core::Result<cache::BlockData> BlockServer::read_block_serviced(
     const std::string& dataset, std::uint64_t block, std::uint64_t conn_id,
-    bool* cache_hit, std::uint64_t* generation, DiskRead* wait) {
+    cache::BlockCache::Pin* pin, std::uint64_t* generation, DiskRead* wait) {
   const double now = clock_->now();
   *wait = DiskRead{now};
   if (cache_) {
     const cache::BlockKey key{dataset, block,
                               block_generation(dataset, block)};
-    // The pin keeps the block resident (not just alive) for the duration
-    // of the reply construction.
-    cache::BlockCache::Pin pin = cache_->lookup_pinned(key);
-    if (pin) {
-      *cache_hit = true;
+    *pin = cache_->lookup_pinned(key);
+    if (*pin) {
       *generation = key.generation;
       // A block still on its way in (a prefetch fill, or another
       // connection's miss) is served when that read completes.
@@ -336,38 +371,36 @@ core::Result<std::vector<std::uint8_t>> BlockServer::read_block_serviced(
       if (prefetcher_) {
         prefetcher_->on_access(dataset, block, UINT64_MAX, conn_id);
       }
-      return *pin;  // copy out under the pin
+      return pin->data();
     }
   }
-  *cache_hit = false;
-  auto stamped = stamped_block(dataset, block);
-  if (!stamped.is_ok()) return stamped.status();
-  *generation = stamped.value().generation;
-  *wait = start_disk_read(dataset, block, stamped.value().data.size(), now);
+  auto stored = find_stored(dataset, block);
+  if (!stored.is_ok()) return stored.status();
+  const Stored& s = stored.value();
+  *generation = s.generation;
+  *wait = start_disk_read(dataset, block, s.data->size(), now);
   if (cache_ && !wait->joined) {
-    cache_->insert(
-        cache::BlockKey{dataset, block, stamped.value().generation},
-        stamped.value().data);
+    cache_->insert(cache::BlockKey{dataset, block, s.generation}, s.data);
   }
   if (prefetcher_) {
     prefetcher_->on_access(dataset, block, UINT64_MAX, conn_id);
   }
-  return std::move(stamped).take().data;
+  return s.data;
 }
 
 void BlockServer::prefetch_fill(const std::string& dataset,
                                 std::uint64_t block) {
   OBS_STAGE("serv.prefetch");
   if (!cache_) return;
-  auto stamped = stamped_block(dataset, block);
-  if (!stamped.is_ok()) return;
-  const cache::BlockKey key{dataset, block, stamped.value().generation};
+  auto stored = find_stored(dataset, block);
+  if (!stored.is_ok()) return;
+  const Stored& s = stored.value();
+  const cache::BlockKey key{dataset, block, s.generation};
   if (cache_->contains(key)) return;
   // A prefetch is a real disk read -- it takes a spindle like a demand
   // miss -- but nobody waits for it unless a demand read of the block
   // arrives before it is ready.
-  if (start_disk_read(dataset, block, stamped.value().data.size(),
-                      clock_->now())
+  if (start_disk_read(dataset, block, s.data->size(), clock_->now())
           .joined) {
     return;  // a demand miss is already reading it in
   }
@@ -375,9 +408,9 @@ void BlockServer::prefetch_fill(const std::string& dataset,
     logger_->log(netlog::tags::kCachePrefetch,
                  static_cast<std::int64_t>(block), -1,
                  {{"DATASET", dataset},
-                  {"BYTES", std::to_string(stamped.value().data.size())}});
+                  {"BYTES", std::to_string(s.data->size())}});
   }
-  cache_->insert(key, std::move(stamped).take().data, /*prefetched=*/true);
+  cache_->insert(key, s.data, /*prefetched=*/true);
 }
 
 std::shared_ptr<BlockServer::PeerLink> BlockServer::peer_link(
@@ -430,15 +463,18 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
   // For EC overwrites the replaced bytes come back from the same critical
   // section, so the parity delta below is exactly this generation
   // transition's delta even when writers race on the block (deltas XOR,
-  // so parity converges regardless of the order they land in).
-  std::vector<std::uint8_t> replaced;
-  auto gen = apply_write(req.dataset, req.block, req.data, req.generation,
+  // so parity converges regardless of the order they land in).  The
+  // decoded payload moves into the store as its shared buffer, and the
+  // forward below is encoded straight from that buffer.
+  const cache::BlockData data = share(std::move(req.data));
+  cache::BlockData replaced;
+  auto gen = apply_write(req.dataset, req.block, data, req.generation,
                          /*bump=*/true,
                          req.deltas.empty() ? nullptr : &replaced);
   if (!gen.is_ok()) return encode_error_reply(gen.status());
   std::vector<std::uint8_t> delta;
   if (!req.deltas.empty()) {
-    delta = ingest::make_delta(replaced, req.data);
+    delta = ingest::make_delta(bytes_of(replaced), *data);
   }
 
   IngestWriteReply reply;
@@ -456,9 +492,9 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
     fwd.block = req.block;
     fwd.generation = gen.value();
     fwd.ack_policy = req.ack_policy;
-    fwd.data = std::move(req.data);
     fwd.chain.assign(req.chain.begin() + 1, req.chain.end());
-    net::Message fwd_msg = encode(fwd);
+    net::Message fwd_msg = encode(fwd, &IngestWriteRequest::data, *data);
+    copy_encode_.add(data->size());
     if (trace.sampled()) {
       // The forward is a new hop of the same request: same trace, fresh
       // span, with a lifeline event marking the relay.
@@ -501,8 +537,8 @@ net::Message BlockServer::handle_ingest_write(IngestWriteRequest&& req,
     pd.dataset = d.dataset;
     pd.block = d.block;
     pd.coefficient = d.coefficient;
-    pd.delta = delta;
-    net::Message pd_msg = encode(pd);
+    net::Message pd_msg = encode(pd, &ParityDeltaRequest::delta, delta);
+    copy_encode_.add(delta.size());
     if (trace.sampled()) {
       pd_msg.trace_id = trace.trace_id;
       pd_msg.span_id = obs::new_span_id();
@@ -538,22 +574,27 @@ net::Message BlockServer::handle_parity_delta(ParityDeltaRequest&& req) {
     // one update is lost.
     std::lock_guard lk(mu_);
     Stored& slot = store_[req.dataset][req.block];
-    if (slot.data.size() < req.delta.size()) {
-      slot.data.resize(req.delta.size(), 0);
+    // Out of place: the next generation is a new buffer swapped in whole,
+    // so a reader holding the old one (the tier's, a reply being encoded,
+    // a delta base) never sees a half-applied delta.  The old buffer is
+    // zero-extended to the delta's length, and what lies past the delta
+    // is carried over by copy.
+    const std::vector<std::uint8_t>& old = bytes_of(slot.data);
+    const std::size_t both = std::min(old.size(), req.delta.size());
+    std::vector<std::uint8_t> next(std::max(old.size(), req.delta.size()));
+    codec::gf256::delta_apply(next.data(), old.data(), req.delta.data(), both,
+                              req.coefficient);
+    if (req.delta.size() > both) {
+      codec::gf256::mul_to(next.data() + both, req.delta.data() + both,
+                           req.delta.size() - both, req.coefficient);
+    } else if (old.size() > both) {
+      std::copy(old.begin() + static_cast<std::ptrdiff_t>(both), old.end(),
+                next.begin() + static_cast<std::ptrdiff_t>(both));
+      copy_store_.add(old.size() - both);
     }
-    // Out-of-place kernel: the old generation's bytes stay intact until
-    // the swap, so a concurrent reader copying them out under mu_-free
-    // cache pins never observes a half-applied delta.
-    std::vector<std::uint8_t> next(slot.data.size());
-    codec::gf256::delta_apply(next.data(), slot.data.data(), req.delta.data(),
-                              req.delta.size(), req.coefficient);
-    std::copy(slot.data.begin() +
-                  static_cast<std::ptrdiff_t>(req.delta.size()),
-              slot.data.end(),
-              next.begin() + static_cast<std::ptrdiff_t>(req.delta.size()));
     const std::uint64_t old_gen = slot.generation;
     next_gen = old_gen + 1;
-    slot.data = std::move(next);
+    slot.data = share(std::move(next));
     slot.generation = next_gen;
     if (cache_) {
       cache_->erase(cache::BlockKey{req.dataset, req.block, old_gen});
@@ -649,41 +690,47 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
           reply = encode_error_reply(req.status());
           break;
         }
-        bool cache_hit = false;
+        // A warm block stays resident until its reply is encoded.
+        cache::BlockCache::Pin pin;
         std::uint64_t generation = 0;
         DiskRead wait;
         auto data = read_block_serviced(req.value().dataset, req.value().block,
-                                        conn_id, &cache_hit, &generation,
+                                        conn_id, &pin, &generation,
                                         &wait);
         if (!data.is_ok()) {
           reply = encode_error_reply(data.status());
           break;
         }
-        served_bytes = data.value().size();
+        const std::vector<std::uint8_t>& bytes = *data.value();
+        served_bytes = bytes.size();
         ready = wait.ready;
         queue_seconds = wait.queue;
         if (logger_) {
           logger_->log("DPSS_BLOCK_READ", -1, -1,
-                       {{"BYTES", std::to_string(data.value().size())},
+                       {{"BYTES", std::to_string(bytes.size())},
                         {"BLOCK", std::to_string(req.value().block)},
-                        {"CACHE", cache_hit ? "HIT" : "MISS"}});
+                        {"CACHE", pin ? "HIT" : "MISS"}});
         }
         BlockReadReply r;
         r.block = req.value().block;
         r.generation = generation;
         if (req.value().compression.codec != Codec::kNone) {
           // Wire-level compression on the block service (section 5).
-          auto wire = compress_block(data.value(), req.value().compression);
+          auto wire = compress_block(bytes, req.value().compression);
           if (!wire.is_ok()) {
             reply = encode_error_reply(wire.status());
             break;
           }
           r.compressed = true;
           r.data = std::move(wire).take();
+          reply = encode(r);
+          copy_encode_.add(r.data.size());
         } else {
-          r.data = std::move(data).take();
+          // The reply's one copy of the block: the shared buffer into the
+          // frame.
+          reply = encode(r, &BlockReadReply::data, bytes);
+          copy_encode_.add(bytes.size());
         }
-        reply = encode(r);
         break;
       }
       case kBlockWriteRequest: {
@@ -695,6 +742,7 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
           break;
         }
         const std::uint64_t block = req.value().block;
+        copy_decode_.add(req.value().data.size());
         core::Status st =
             req.value().generation == 0
                 ? put_block(req.value().dataset, block,
@@ -715,6 +763,7 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
           break;
         }
         served_bytes = req.value().data.size();
+        copy_decode_.add(served_bytes);
         reply = handle_ingest_write(std::move(req).take(), trace);
         break;
       }
@@ -725,6 +774,7 @@ net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {
           reply = encode_error_reply(req.status());
           break;
         }
+        copy_decode_.add(req.value().delta.size());
         reply = handle_parity_delta(std::move(req).take());
         break;
       }

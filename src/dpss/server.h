@@ -30,6 +30,19 @@
 // write-through, and a stripe-aware prefetcher streams predicted blocks
 // from the modelled disks into memory ahead of the client.
 //
+// Each stored block is one immutable, refcounted buffer (cache::BlockData)
+// that the store, the memory tier, a reply being encoded and an EC
+// overwrite's parity-delta base all share: write-through, miss admission
+// and prefetch fills admit the store's own buffer, an ingest write moves
+// its decoded payload in, and an overwrite or a parity delta swaps in a
+// new buffer rather than changing the old one.  The tier still charges
+// each entry's bytes against its capacity, so what it models is which
+// blocks are memory-resident -- the hits, misses and evictions the disk
+// model sees -- not a second copy: evicting a block frees nothing the
+// store still holds.  A read reply is encoded straight from the shared
+// buffer, its one copy of the block on the server; a warm read keeps its
+// tier entry pinned resident until then.
+//
 // The ingest pipeline (PR 5) makes the server a *mutation* participant,
 // not just a store: every stored block carries a generation stamp (an
 // overwrite re-keys the memory tier, so a stale entry can never satisfy a
@@ -123,6 +136,10 @@ class BlockServer {
   };
   core::Result<StampedBlock> stamped_block(const std::string& dataset,
                                            std::uint64_t block) const;
+  // The stored buffer itself, not a copy: the one the memory tier holds
+  // while the block is resident.  It keeps its bytes across later writes.
+  core::Result<cache::BlockData> shared_block(const std::string& dataset,
+                                              std::uint64_t block) const;
   // Generation of a stored block; 0 when absent or never overwritten.
   std::uint64_t block_generation(const std::string& dataset,
                                  std::uint64_t block) const;
@@ -132,7 +149,7 @@ class BlockServer {
   // heartbeat enumerates these to build generation floors).
   std::vector<std::string> dataset_names() const;
   // Remove a block this server no longer owns (a Rebalancer drop plan);
-  // evicts the memory-tier copy too.  Returns false when absent.
+  // evicts the memory-tier entry too.  Returns false when absent.
   bool drop_block(const std::string& dataset, std::uint64_t block);
   // Forget every stored block and empty the memory tier: a disk loss (the
   // failure mode EC reconstruction exists for).  The server object itself
@@ -219,7 +236,7 @@ class BlockServer {
 
  private:
   struct Stored {
-    std::vector<std::uint8_t> data;
+    cache::BlockData data;  // never null once stored
     std::uint64_t generation = 0;
   };
   // One pooled connection per peer; its mutex serialises the pipelined
@@ -243,14 +260,20 @@ class BlockServer {
   };
 
   void service_loop(net::StreamPtr stream);
+  // A stored block's buffer and stamp, shared (kNotFound when absent).
+  core::Result<Stored> find_stored(const std::string& dataset,
+                                   std::uint64_t block) const;
   // Cache-tier read: warm hits skip the DiskModel entirely; misses read
   // the block in from the modelled disks, admit-on-fill, and notify the
   // prefetcher.  `conn_id` identifies the client connection so concurrent
-  // PEs' interleaved strides are detected independently.  `generation`
-  // receives the served bytes' stamp, `wait` when they are ready.
-  core::Result<std::vector<std::uint8_t>> read_block_serviced(
+  // PEs' interleaved strides are detected independently.  On a hit `pin`
+  // receives the pin that keeps the block resident while the caller
+  // builds its reply; it stays empty on a miss.  `generation` receives the
+  // served bytes' stamp, `wait` when they are ready.  Returns the shared
+  // buffer, not a copy.
+  core::Result<cache::BlockData> read_block_serviced(
       const std::string& dataset, std::uint64_t block, std::uint64_t conn_id,
-      bool* cache_hit, std::uint64_t* generation, DiskRead* wait);
+      cache::BlockCache::Pin* pin, std::uint64_t* generation, DiskRead* wait);
   // Prefetch path: stream one predicted block from the modelled disks into
   // the memory tier.
   void prefetch_fill(const std::string& dataset, std::uint64_t block);
@@ -266,13 +289,14 @@ class BlockServer {
   // Store + re-key the memory tier under mu_.  generation == 0 allocates
   // current + 1 when `bump` (ingest writes), else preserves the current
   // stamp (legacy put_block).  Returns the generation the block now
-  // carries, or kFailedPrecondition for a stale explicit stamp.  When
-  // `replaced` is set it receives the bytes being overwritten, captured
-  // under the same lock (the parity-delta base).
+  // carries, or kFailedPrecondition for a stale explicit stamp.  `data`
+  // becomes the stored buffer and the tier's entry as it is.  When
+  // `replaced` is set it receives the buffer being overwritten (null if
+  // none), captured under the same lock (the parity-delta base).
   core::Result<std::uint64_t> apply_write(
-      const std::string& dataset, std::uint64_t block,
-      std::vector<std::uint8_t> data, std::uint64_t generation, bool bump,
-      std::vector<std::uint8_t>* replaced = nullptr);
+      const std::string& dataset, std::uint64_t block, cache::BlockData data,
+      std::uint64_t generation, bool bump,
+      cache::BlockData* replaced = nullptr);
   // Ingest handlers (service_loop dispatch).  `trace` is the incoming
   // request's context: forwarded chain hops and parity deltas travel under
   // the same trace with fresh span ids.
@@ -316,6 +340,15 @@ class BlockServer {
   obs::Counter& chain_forwards_;
   obs::Counter& parity_deltas_;
   obs::Counter& read_joins_;
+  // Block payload bytes copied on this server, by site: decoding a
+  // request's block out of its frame, encoding one into an outgoing frame
+  // (a read reply, a chain forward, a parity delta), and carrying bytes
+  // over into a new store buffer (the part of a parity block past its
+  // delta).  Admission to the memory tier copies nothing: see the tier's
+  // copied_bytes.
+  obs::Counter& copy_decode_;
+  obs::Counter& copy_encode_;
+  obs::Counter& copy_store_;
   obs::Gauge& in_flight_;
   obs::Histogram& read_seconds_;
   obs::Histogram& write_seconds_;

@@ -25,8 +25,27 @@ core::Status send_message(ByteStream& stream, const Message& msg) {
   std::memcpy(header + 8, &len, 8);
   std::memcpy(header + 16, &msg.trace_id, 8);
   std::memcpy(header + 24, &msg.span_id, 8);
-  if (auto st = stream.send_all(header, sizeof header); !st.is_ok()) return st;
-  return stream.send_all(msg.payload.data(), msg.payload.size());
+  return stream.send_frame(header, sizeof header, msg.payload.data(),
+                           msg.payload.size());
+}
+
+core::Status recv_growing(ByteStream& stream, std::uint64_t len,
+                          std::vector<std::uint8_t>* out) {
+  // The first chunk (up to 1 MiB) takes a 64 KiB block or a 256 KiB
+  // texture in one allocation; after it the held size doubles.
+  constexpr std::uint64_t kFirstChunk = 1 << 20;
+  std::uint64_t have = 0;
+  out->clear();
+  while (have < len) {
+    const std::uint64_t next = std::min(len, std::max(kFirstChunk, 2 * have));
+    out->resize(next);
+    if (auto st = stream.recv_all(out->data() + have, next - have);
+        !st.is_ok()) {
+      return st;
+    }
+    have = next;
+  }
+  return core::Status::ok();
 }
 
 core::Result<Message> recv_message(ByteStream& stream, std::size_t max_payload) {
@@ -47,20 +66,8 @@ core::Result<Message> recv_message(ByteStream& stream, std::size_t max_payload) 
   msg.type = type;
   std::memcpy(&msg.trace_id, header + 16, 8);
   std::memcpy(&msg.span_id, header + 24, 8);
-  // The buffer grows as bytes arrive instead of trusting the header: a
-  // peer that claims gigabytes must send them before they are held.  The
-  // first chunk (up to 1 MiB) takes a 64 KiB block or a 256 KiB texture in
-  // one allocation; after it the held size doubles.
-  constexpr std::uint64_t kFirstChunk = 1 << 20;
-  std::uint64_t have = 0;
-  while (have < len) {
-    const std::uint64_t next = std::min(len, std::max(kFirstChunk, 2 * have));
-    msg.payload.resize(next);
-    if (auto st = stream.recv_all(msg.payload.data() + have, next - have);
-        !st.is_ok()) {
-      return st;
-    }
-    have = next;
+  if (auto st = recv_growing(stream, len, &msg.payload); !st.is_ok()) {
+    return st;
   }
   return msg;
 }

@@ -49,10 +49,17 @@ struct Reply {
   double delay_seconds = 0.0;
 };
 
-// Blocking send/recv of a framed message over any ByteStream.
+// Blocking send/recv of a framed message over any ByteStream.  A send is
+// one ByteStream::send_frame call.
 core::Status send_message(ByteStream& stream, const Message& msg);
 core::Result<Message> recv_message(ByteStream& stream,
                                    std::size_t max_payload = 1ull << 32);
+
+// Receive exactly `len` bytes into `*out`, growing it as bytes arrive
+// instead of trusting `len`: a peer that claims gigabytes must send them
+// before they are held.
+core::Status recv_growing(ByteStream& stream, std::uint64_t len,
+                          std::vector<std::uint8_t>* out);
 
 // ---- field-level serialization ---------------------------------------------
 

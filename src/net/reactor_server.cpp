@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,11 +15,15 @@
 #include <map>
 #include <mutex>
 
+#include "obs/metrics.h"
+
 namespace visapult::net {
 
 namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kFrameHeader = kFrameHeaderBytes;
+// Most iovecs one sendmsg() gathers: 32 queued replies.
+constexpr std::size_t kMaxIov = 64;
 }  // namespace
 
 struct Conn;
@@ -61,6 +66,10 @@ struct ReactorServer::State {
   std::size_t conn_write_queue_hwm_bytes = 0;   // high-water of any one conn
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+  // Per-call and per-byte, so relaxed counters instead of `mu`.
+  obs::Counter send_calls;
+  obs::Counter recv_calls;
+  obs::Counter copy_bytes;
 
   State(ReactorPool& p, Handler h, ReactorServerOptions o,
         core::ThreadPool* w)
@@ -79,7 +88,13 @@ struct Conn : std::enable_shared_from_this<Conn> {
 
   std::vector<std::uint8_t> rbuf;  // received, not yet consumed
   std::size_t rpos = 0;            // parse cursor into rbuf
-  std::deque<std::vector<std::uint8_t>> wq;
+  // One queued reply: its frame header, then the handler's payload.
+  struct Out {
+    std::uint8_t header[kFrameHeader];
+    std::vector<std::uint8_t> payload;
+    std::size_t size() const { return kFrameHeader + payload.size(); }
+  };
+  std::deque<Out> wq;
   std::size_t wq_head_off = 0;  // bytes of wq.front() already sent
   std::size_t wq_bytes = 0;
   // The dispatch window, in request sequence numbers: [reply_seq,
@@ -155,9 +170,11 @@ struct Conn : std::enable_shared_from_this<Conn> {
     std::uint64_t got = 0;
     for (;;) {
       std::uint8_t chunk[kReadChunk];
+      state->recv_calls.inc();
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
       if (n > 0) {
         got += static_cast<std::uint64_t>(n);
+        state->copy_bytes.add(static_cast<std::uint64_t>(n));
         rbuf.insert(rbuf.end(), chunk, chunk + n);
         if (static_cast<std::size_t>(n) < sizeof chunk) break;
         continue;
@@ -213,6 +230,7 @@ struct Conn : std::enable_shared_from_this<Conn> {
       std::memcpy(&msg.trace_id, rbuf.data() + rpos + 16, 8);
       std::memcpy(&msg.span_id, rbuf.data() + rpos + 24, 8);
       const auto* p = rbuf.data() + rpos + kFrameHeader;
+      state->copy_bytes.add(len);
       msg.payload.assign(p, p + len);
       rpos += kFrameHeader + static_cast<std::size_t>(len);
       cancel_read_timer();  // the next request's deadline starts afresh
@@ -360,23 +378,19 @@ struct Conn : std::enable_shared_from_this<Conn> {
     parse_and_dispatch();
   }
 
-  // Frame one reply onto the write queue.
+  // Queue one reply: a header in front of the payload it already has.
   void enqueue(Message&& reply) {
-    std::vector<std::uint8_t> frame(kFrameHeader + reply.payload.size());
+    Out& out = wq.emplace_back();
     const std::uint32_t magic = kMessageMagic;
     const std::uint64_t len = reply.payload.size();
-    std::memcpy(frame.data(), &magic, 4);
-    std::memcpy(frame.data() + 4, &reply.type, 4);
-    std::memcpy(frame.data() + 8, &len, 8);
-    std::memcpy(frame.data() + 16, &reply.trace_id, 8);
-    std::memcpy(frame.data() + 24, &reply.span_id, 8);
-    if (!reply.payload.empty()) {  // an empty payload's data() may be null
-      std::memcpy(frame.data() + kFrameHeader, reply.payload.data(),
-                  reply.payload.size());
-    }
-    add_queued(frame.size());
-    wq_bytes += frame.size();
-    wq.push_back(std::move(frame));
+    std::memcpy(out.header, &magic, 4);
+    std::memcpy(out.header + 4, &reply.type, 4);
+    std::memcpy(out.header + 8, &len, 8);
+    std::memcpy(out.header + 16, &reply.trace_id, 8);
+    std::memcpy(out.header + 24, &reply.span_id, 8);
+    out.payload = std::move(reply.payload);
+    add_queued(out.size());
+    wq_bytes += out.size();
     {
       std::lock_guard lk(state->mu);
       if (wq_bytes > state->conn_write_queue_hwm_bytes) {
@@ -385,12 +399,34 @@ struct Conn : std::enable_shared_from_this<Conn> {
     }
   }
 
+  // Gather the queue's headers and payloads into one sendmsg(); a partial
+  // write resumes mid-iovec on the next EPOLLOUT.
   void flush_writes() {
     std::uint64_t sent = 0;
     while (!wq.empty()) {
-      const auto& head = wq.front();
-      const ssize_t n = ::send(fd, head.data() + wq_head_off,
-                               head.size() - wq_head_off, MSG_NOSIGNAL);
+      iovec iov[kMaxIov];
+      std::size_t n_iov = 0;
+      std::size_t want = 0;
+      std::size_t skip = wq_head_off;  // already sent of the head entry
+      auto add = [&](const std::uint8_t* p, std::size_t len) {
+        if (skip >= len) {
+          skip -= len;
+          return;
+        }
+        iov[n_iov++] = {const_cast<std::uint8_t*>(p) + skip, len - skip};
+        want += len - skip;
+        skip = 0;
+      };
+      for (auto it = wq.begin(); it != wq.end() && n_iov + 2 <= kMaxIov;
+           ++it) {
+        add(it->header, kFrameHeader);
+        add(it->payload.data(), it->payload.size());
+      }
+      msghdr mh{};
+      mh.msg_iov = iov;
+      mh.msg_iovlen = n_iov;
+      state->send_calls.inc();
+      const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -399,13 +435,20 @@ struct Conn : std::enable_shared_from_this<Conn> {
         return;
       }
       sent += static_cast<std::uint64_t>(n);
-      wq_head_off += static_cast<std::size_t>(n);
       wq_bytes -= static_cast<std::size_t>(n);
       add_queued(-static_cast<std::ptrdiff_t>(n));
-      if (wq_head_off == head.size()) {
+      for (auto left = static_cast<std::size_t>(n); left > 0;) {
+        const std::size_t rest = wq.front().size() - wq_head_off;
+        if (left < rest) {
+          wq_head_off += left;
+          break;
+        }
+        left -= rest;
         wq.pop_front();
         wq_head_off = 0;
       }
+      // The kernel took less than offered: its buffer is full.
+      if (static_cast<std::size_t>(n) < want) break;
     }
     note_written_bytes(sent);
     update_interest();
@@ -599,6 +642,9 @@ ReactorServerStats ReactorServer::stats() const {
   out.conn_write_queue_hwm_bytes = state_->conn_write_queue_hwm_bytes;
   out.bytes_read = state_->bytes_read;
   out.bytes_written = state_->bytes_written;
+  out.send_calls = state_->send_calls.value();
+  out.recv_calls = state_->recv_calls.value();
+  out.copy_bytes = state_->copy_bytes.value();
   return out;
 }
 

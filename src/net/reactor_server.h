@@ -24,7 +24,10 @@
 //     blocks (chain forwarding to a peer) never stalls an event loop;
 //   * replies land in a BOUNDED per-connection write queue -- a peer that
 //     stops reading gets its connection closed at the cap (back-pressure)
-//     instead of growing an unbounded thread stack or heap;
+//     instead of growing an unbounded thread stack or heap.  The queue
+//     holds each reply's header and its handler's payload as they are;
+//     one sendmsg() gathers everything queued, so a reply is never copied
+//     into a frame buffer;
 //   * a per-request read timeout (timer wheel) closes connections that
 //     stall mid-request, counted so server metrics can expose them.
 //
@@ -88,6 +91,13 @@ struct ReactorServerStats {
   // utilization axis (bytes moved) next to the saturation axes above.
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+  // Socket calls (recv(), and sendmsg() with every queued reply gathered
+  // into it) and the payload bytes this door copied in user space: each
+  // request's bytes into the read buffer and from it into its Message.
+  // Replies go out from the handler's own payload, uncopied.
+  std::uint64_t send_calls = 0;
+  std::uint64_t recv_calls = 0;
+  std::uint64_t copy_bytes = 0;
 };
 
 class ReactorServer {

@@ -25,6 +25,17 @@ class ByteStream {
   // Blocking write of the whole buffer.  kUnavailable if the peer is gone.
   virtual core::Status send_all(const std::uint8_t* data, std::size_t len) = 0;
 
+  // Blocking write of one frame, `header` then `payload`.  The default is
+  // two send_all() calls; a transport that can gather both into one write
+  // (TcpStream) overrides it.
+  virtual core::Status send_frame(const std::uint8_t* header,
+                                  std::size_t header_len,
+                                  const std::uint8_t* payload,
+                                  std::size_t payload_len) {
+    if (auto st = send_all(header, header_len); !st.is_ok()) return st;
+    return send_all(payload, payload_len);
+  }
+
   // Blocking read of exactly `len` bytes.  kUnavailable on orderly peer
   // close before any byte, kDataLoss on close mid-message.
   virtual core::Status recv_all(std::uint8_t* data, std::size_t len) = 0;

@@ -1,8 +1,11 @@
 #include "net/striped.h"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <thread>
+
+#include "net/message.h"
 
 namespace visapult::net {
 
@@ -72,12 +75,24 @@ core::Status StripedStream::send(const std::vector<std::uint8_t>& payload) {
 core::Result<std::vector<std::uint8_t>> StripedStream::recv() {
   const std::uint64_t want_seq = recv_seq_++;
 
+  // Stripes are held as they arrive, each read in bounded chunks
+  // (recv_growing), and the payload is assembled only once they add up to
+  // the preamble's length: a lane claiming terabytes has to send them
+  // before anything near that size is held.
+  struct Stripe {
+    std::uint64_t offset = 0;
+    std::vector<std::uint8_t> bytes;
+  };
   std::mutex mu;
-  std::vector<std::uint8_t> payload;
+  std::vector<Stripe> stripes;
   std::uint64_t total_len = 0;
   std::uint64_t received = 0;
   bool sized = false;
   core::Status failure = core::Status::ok();
+  auto fail = [&](core::Status st) {
+    std::lock_guard lk(mu);
+    if (failure.is_ok()) failure = std::move(st);
+  };
 
   std::vector<std::thread> threads;
   threads.reserve(lanes_.size());
@@ -85,11 +100,7 @@ core::Result<std::vector<std::uint8_t>> StripedStream::recv() {
     threads.emplace_back([&, lane] {
       std::uint8_t preamble[kPreambleBytes];
       auto st = lanes_[lane]->recv_all(preamble, sizeof preamble);
-      if (!st.is_ok()) {
-        std::lock_guard lk(mu);
-        if (failure.is_ok()) failure = st;
-        return;
-      }
+      if (!st.is_ok()) return fail(st);
       std::uint64_t seq, len;
       std::uint32_t mine;
       std::memcpy(&seq, preamble + 0, 8);
@@ -107,7 +118,6 @@ core::Result<std::vector<std::uint8_t>> StripedStream::recv() {
         }
         if (!sized) {
           total_len = len;
-          payload.resize(len);
           sized = true;
         } else if (len != total_len) {
           if (failure.is_ok()) {
@@ -119,33 +129,25 @@ core::Result<std::vector<std::uint8_t>> StripedStream::recv() {
       for (std::uint32_t i = 0; i < mine; ++i) {
         std::uint8_t header[kStripeHeaderBytes];
         st = lanes_[lane]->recv_all(header, sizeof header);
-        if (!st.is_ok()) {
-          std::lock_guard lk(mu);
-          if (failure.is_ok()) failure = st;
-          return;
-        }
-        std::uint64_t offset, slen;
-        std::memcpy(&offset, header + 0, 8);
+        if (!st.is_ok()) return fail(st);
+        Stripe stripe;
+        std::uint64_t slen;
+        std::memcpy(&stripe.offset, header + 0, 8);
         std::memcpy(&slen, header + 8, 8);
-        if (offset + slen > total_len) {
-          std::lock_guard lk(mu);
+        if (slen > len || stripe.offset > len - slen) {
+          return fail(core::data_loss("stripe exceeds payload bounds"));
+        }
+        st = recv_growing(*lanes_[lane], slen, &stripe.bytes);
+        if (!st.is_ok()) return fail(st);
+        std::lock_guard lk(mu);
+        received += slen;
+        if (received > total_len) {
           if (failure.is_ok()) {
-            failure = core::data_loss("stripe exceeds payload bounds");
+            failure = core::data_loss("stripes run past the payload");
           }
           return;
         }
-        std::vector<std::uint8_t> body(slen);
-        if (slen) {
-          st = lanes_[lane]->recv_all(body.data(), slen);
-          if (!st.is_ok()) {
-            std::lock_guard lk(mu);
-            if (failure.is_ok()) failure = st;
-            return;
-          }
-        }
-        std::lock_guard lk(mu);
-        std::memcpy(payload.data() + offset, body.data(), slen);
-        received += slen;
+        stripes.push_back(std::move(stripe));
       }
     });
   }
@@ -156,6 +158,23 @@ core::Result<std::vector<std::uint8_t>> StripedStream::recv() {
     return core::data_loss("striped payload incomplete: got " +
                            std::to_string(received) + " of " +
                            std::to_string(total_len) + " bytes");
+  }
+  // The stripes must tile [0, total_len) exactly: no gap, no overlap.
+  std::sort(stripes.begin(), stripes.end(),
+            [](const Stripe& a, const Stripe& b) { return a.offset < b.offset; });
+  std::uint64_t at = 0;
+  for (const Stripe& stripe : stripes) {
+    if (stripe.offset != at) {
+      return core::data_loss("striped payload has a gap or an overlap");
+    }
+    at += stripe.bytes.size();
+  }
+  if (stripes.size() == 1) return std::move(stripes.front().bytes);
+  std::vector<std::uint8_t> payload(total_len);
+  for (const Stripe& stripe : stripes) {
+    if (stripe.bytes.empty()) continue;
+    std::memcpy(payload.data() + stripe.offset, stripe.bytes.data(),
+                stripe.bytes.size());
   }
   return payload;
 }

@@ -39,7 +39,9 @@ class StripedStream {
   core::Status send(const std::vector<std::uint8_t>& payload);
 
   // Receive the next payload (by sequence number).  Runs one reader thread
-  // per lane; detects truncation, sequence gaps and stripe overlap.
+  // per lane, holding each stripe as it arrives and assembling the payload
+  // once they tile it; detects truncation, sequence gaps, stripe overlap
+  // and stripes past the claimed length.
   core::Result<std::vector<std::uint8_t>> recv();
 
   void close();

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -15,9 +16,25 @@
 #include <cstring>
 #include <limits>
 
+#include "obs/metrics.h"
+
 namespace visapult::net {
 
 namespace {
+
+struct Calls {
+  obs::Counter& send =
+      obs::MetricsRegistry::global().counter("net_tcp_send_calls_total");
+  obs::Counter& recv =
+      obs::MetricsRegistry::global().counter("net_tcp_recv_calls_total");
+  obs::Counter& frames =
+      obs::MetricsRegistry::global().counter("net_tcp_frames_sent_total");
+};
+
+Calls& calls() {
+  static Calls c;
+  return c;
+}
 
 core::Status errno_status(const std::string& what) {
   return core::unavailable(what + ": " + std::strerror(errno));
@@ -78,6 +95,7 @@ core::Status TcpStream::send_all(const std::uint8_t* data, std::size_t len) {
   const int fd = fd_.load();
   std::size_t sent = 0;
   while (sent < len) {
+    calls().send.inc();
     const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -85,6 +103,42 @@ core::Status TcpStream::send_all(const std::uint8_t* data, std::size_t len) {
     }
     if (n == 0) return core::unavailable("send: connection closed");
     sent += static_cast<std::size_t>(n);
+  }
+  return core::Status::ok();
+}
+
+core::Status TcpStream::send_frame(const std::uint8_t* header,
+                                   std::size_t header_len,
+                                   const std::uint8_t* payload,
+                                   std::size_t payload_len) {
+  const int fd = fd_.load();
+  calls().frames.inc();
+  iovec iov[2] = {{const_cast<std::uint8_t*>(header), header_len},
+                  {const_cast<std::uint8_t*>(payload), payload_len}};
+  iovec* at = iov;
+  std::size_t left = payload_len > 0 ? 2 : 1;
+  while (left > 0) {
+    msghdr mh{};
+    mh.msg_iov = at;
+    mh.msg_iovlen = left;
+    calls().send.inc();
+    const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_status("sendmsg");
+    }
+    if (n == 0) return core::unavailable("sendmsg: connection closed");
+    // Drop what went out: whole iovecs, then the front of the next one.
+    auto sent = static_cast<std::size_t>(n);
+    while (left > 0 && sent >= at->iov_len) {
+      sent -= at->iov_len;
+      ++at;
+      --left;
+    }
+    if (left > 0) {
+      at->iov_base = static_cast<std::uint8_t*>(at->iov_base) + sent;
+      at->iov_len -= sent;
+    }
   }
   return core::Status::ok();
 }
@@ -107,6 +161,7 @@ core::Status TcpStream::recv_all(std::uint8_t* data, std::size_t len) {
       }
       if (ready < 0) return errno_status("poll(recv)");
     }
+    calls().recv.inc();
     const ssize_t n = ::recv(fd, data + got, len - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -197,6 +252,11 @@ core::Result<StreamPtr> TcpStream::connect(const std::string& host,
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return StreamPtr(std::make_shared<TcpStream>(fd));
+}
+
+TcpCallCounts tcp_call_counts() {
+  return TcpCallCounts{calls().send.value(), calls().recv.value(),
+                       calls().frames.value()};
 }
 
 TcpListener::~TcpListener() {

@@ -31,6 +31,11 @@ class TcpStream final : public ByteStream {
   TcpStream& operator=(const TcpStream&) = delete;
 
   core::Status send_all(const std::uint8_t* data, std::size_t len) override;
+  // Header and payload in one gathered sendmsg() (more only when the
+  // kernel takes part of the frame).
+  core::Status send_frame(const std::uint8_t* header, std::size_t header_len,
+                          const std::uint8_t* payload,
+                          std::size_t payload_len) override;
   // Honours set_recv_timeout(): with a timeout armed, a read that cannot
   // complete in time returns kDeadlineExceeded (the connection should be
   // considered poisoned: partial bytes may have been consumed).
@@ -55,6 +60,15 @@ class TcpStream final : public ByteStream {
   std::atomic<bool> shut_{false};
   std::atomic<double> recv_timeout_seconds_{0.0};
 };
+
+// Socket calls made by every TcpStream in this process, also exported as
+// the global registry's net_tcp_* counters: one relaxed add per call.
+struct TcpCallCounts {
+  std::uint64_t send_calls = 0;   // send() and sendmsg()
+  std::uint64_t recv_calls = 0;   // recv()
+  std::uint64_t frames_sent = 0;  // send_frame() calls
+};
+TcpCallCounts tcp_call_counts();
 
 // Listening socket bound to 127.0.0.1.  Port 0 picks an ephemeral port,
 // readable via port() -- tests and in-process deployments depend on that.

@@ -27,7 +27,7 @@ TEST(Compression, NoneRoundTrips) {
   const auto raw = float_bytes({1.0f, -2.5f, 0.0f, 3.25f});
   auto wire = compress_block(raw, {Codec::kNone, 8});
   ASSERT_TRUE(wire.is_ok());
-  auto back = decompress_block(wire.value());
+  auto back = decompress_block(wire.value(), raw.size());
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), raw);
 }
@@ -37,7 +37,7 @@ TEST(Compression, LosslessRoundTripsExactly) {
   const auto raw = float_bytes(v.data());
   auto wire = compress_block(raw, {Codec::kLossless, 8});
   ASSERT_TRUE(wire.is_ok());
-  auto back = decompress_block(wire.value());
+  auto back = decompress_block(wire.value(), raw.size());
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), raw);
 }
@@ -53,7 +53,7 @@ TEST(Compression, LosslessShrinksSmoothData) {
 TEST(Compression, LosslessHandlesEmptyBlock) {
   auto wire = compress_block({}, {Codec::kLossless, 8});
   ASSERT_TRUE(wire.is_ok());
-  auto back = decompress_block(wire.value());
+  auto back = decompress_block(wire.value(), 0);
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(back.value().empty());
 }
@@ -70,7 +70,7 @@ TEST_P(LossyQuantBits, ErrorWithinBound) {
   const auto raw = float_bytes(v.data());
   auto wire = compress_block(raw, {Codec::kLossyQuant, bits});
   ASSERT_TRUE(wire.is_ok());
-  auto back = decompress_block(wire.value());
+  auto back = decompress_block(wire.value(), raw.size());
   ASSERT_TRUE(back.is_ok());
 
   float lo, hi;
@@ -111,7 +111,30 @@ TEST(Compression, TruncatedWireDetected) {
   ASSERT_TRUE(wire.is_ok());
   auto bytes = wire.value();
   bytes.pop_back();
-  EXPECT_FALSE(decompress_block(bytes).is_ok());
+  EXPECT_FALSE(decompress_block(bytes, raw.size()).is_ok());
+}
+
+// A 26-byte frame -- header only, no planes -- claiming 2^40 raw bytes:
+// the planes and the output would be sized from that claim, so the bound
+// must reject it before anything is allocated (a bad_alloc here would
+// escape the client's noexcept fetch workers).
+TEST(Compression, ClaimedRawLengthOverTheBoundIsDataLoss) {
+  std::vector<std::uint8_t> frame(26, 0);
+  frame[0] = static_cast<std::uint8_t>(Codec::kLossless);
+  frame[1] = 8;
+  const std::uint64_t claimed = 1ull << 40;
+  std::memcpy(frame.data() + 2, &claimed, 8);
+  core::Result<std::vector<std::uint8_t>> back = core::internal_error("unset");
+  EXPECT_NO_THROW(back = decompress_block(frame, 64 << 10));
+  EXPECT_EQ(back.status().code(), core::StatusCode::kDataLoss);
+
+  // The same bound passes a real block of exactly that size.
+  const auto raw = float_bytes(std::vector<float>(16 << 10, 0.5f));
+  auto wire = compress_block(raw, {Codec::kLossless, 8});
+  ASSERT_TRUE(wire.is_ok());
+  EXPECT_TRUE(decompress_block(wire.value(), 64 << 10).is_ok());
+  EXPECT_EQ(decompress_block(wire.value(), (64 << 10) - 1).status().code(),
+            core::StatusCode::kDataLoss);
 }
 
 TEST(Compression, ErrorBoundFormula) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
+#include "codec/gf256.h"
 #include "dpss/protocol.h"
 #include "net/stream.h"
 #include "support/test_support.h"
@@ -316,6 +319,119 @@ TEST(BlockServer, ShutdownUnblocksServiceThreads) {
   server.serve(server_end);
   server.shutdown();  // must not hang
   SUCCEED();
+}
+
+// ---- one buffer per stored block ----
+
+std::uint64_t counter(BlockServer& server, const char* name) {
+  return server.metrics_registry().counter(name).value();
+}
+
+// The store and the memory tier hold one buffer for a block, and a reader
+// holding it keeps its bytes across an overwrite of the same block: the
+// write swaps a new buffer in rather than changing the old one.
+TEST(SharedBlocks, HeldTierBufferKeepsItsBytesAcrossAnOverwrite) {
+  BlockServer server("s0", DiskModel{}, /*throttle=*/false, no_prefetch());
+  ASSERT_TRUE(
+      server.put_block("ds", 0, std::vector<std::uint8_t>(kBlockBytes, 0x11))
+          .is_ok());
+  const cache::BlockData held = server.shared_block("ds", 0).value();
+  // The store, the tier (write-through) and this reader.
+  EXPECT_EQ(held.use_count(), 3);
+  const auto conn = server.allocate_conn_id();
+  EXPECT_EQ(first_byte(server.handle_request(read_request(0), conn)), 0x11);
+  EXPECT_EQ(server.cache_metrics().hits, 1u);
+
+  IngestWriteRequest write;
+  write.dataset = "ds";
+  write.block = 0;
+  write.data.assign(kBlockBytes, 0x22);
+  auto ack = decode<IngestWriteReply>(
+      server.handle_request(encode(write), conn));
+  ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
+  EXPECT_EQ(ack.value().generation, 1u);
+
+  EXPECT_EQ(*held, std::vector<std::uint8_t>(kBlockBytes, 0x11));
+  EXPECT_EQ(held.use_count(), 1);  // the store and the tier moved on
+  EXPECT_EQ(first_byte(server.handle_request(read_request(0), conn)), 0x22);
+  EXPECT_EQ(server.cache_metrics().hits, 2u);
+  EXPECT_EQ(server.shared_block("ds", 0).value().use_count(), 3);
+
+  // The write's payload was copied once, out of its frame; the two reads
+  // once each, into their reply frames.  Nothing was copied into the
+  // store or the tier.
+  EXPECT_EQ(counter(server, "dpss_server_copy_decode_bytes_total"),
+            kBlockBytes);
+  EXPECT_EQ(counter(server, "dpss_server_copy_encode_bytes_total"),
+            2 * kBlockBytes);
+  EXPECT_EQ(counter(server, "dpss_server_copy_store_bytes_total"), 0u);
+  EXPECT_EQ(server.cache_metrics().copied_bytes, 0u);
+}
+
+// A parity block's delta base stays intact while deltas land on it from
+// several writers at once: each delta builds the next generation out of
+// place and swaps it in whole, so a concurrent reader never sees a
+// half-applied delta, a held base never changes, and no update is lost.
+TEST(SharedBlocks, ParityDeltaBaseSurvivesConcurrentDeltas) {
+  BlockServer server("s0", DiskModel{}, /*throttle=*/false, no_prefetch());
+  constexpr std::size_t kBytes = 64 << 10;
+  constexpr int kWriters = 4;
+  constexpr int kDeltas = 15;  // odd: each writer's delta survives
+  ASSERT_TRUE(
+      server.put_block("p", 0, std::vector<std::uint8_t>(kBytes, 0x5A))
+          .is_ok());
+  const cache::BlockData base = server.shared_block("p", 0).value();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::thread reader([&] {
+    const auto conn = server.allocate_conn_id();
+    while (!done.load()) {
+      auto r = decode<BlockReadReply>(
+          server.handle_request(encode(BlockReadRequest{"p", 0, {}}), conn));
+      // Every delta is one byte value throughout, so every generation is
+      // uniform; a torn one is not.
+      if (!r.is_ok() || r.value().data.size() != kBytes ||
+          std::count(r.value().data.begin(), r.value().data.end(),
+                     r.value().data[0]) != static_cast<long>(kBytes)) {
+        bad.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  std::uint8_t expected = 0x5A;
+  for (int w = 0; w < kWriters; ++w) {
+    const auto coefficient = static_cast<std::uint8_t>(w + 2);
+    const auto value = static_cast<std::uint8_t>(1u << w);
+    expected ^= codec::gf256::mul(coefficient, value);
+    writers.emplace_back([&server, &bad, coefficient, value] {
+      const auto conn = server.allocate_conn_id();
+      for (int i = 0; i < kDeltas; ++i) {
+        ParityDeltaRequest pd;
+        pd.dataset = "p";
+        pd.block = 0;
+        pd.coefficient = coefficient;
+        pd.delta.assign(kBytes, value);
+        if (!decode<ParityDeltaReply>(server.handle_request(encode(pd), conn))
+                 .is_ok()) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(*base, std::vector<std::uint8_t>(kBytes, 0x5A));
+  EXPECT_EQ(server.block_generation("p", 0),
+            static_cast<std::uint64_t>(kWriters * kDeltas));
+  auto last = server.get_block("p", 0);
+  ASSERT_TRUE(last.is_ok());
+  EXPECT_EQ(last.value(), std::vector<std::uint8_t>(kBytes, expected));
+  EXPECT_EQ(counter(server, "dpss_server_copy_store_bytes_total"), 0u);
+  EXPECT_EQ(server.cache_metrics().copied_bytes, 0u);
 }
 
 }  // namespace

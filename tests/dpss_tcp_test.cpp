@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -311,6 +312,92 @@ TEST(DpssTcp, MasterSurvivesHostileCountPrefixes) {
   ASSERT_TRUE(n.is_ok());
   EXPECT_EQ(n.value(), v.byte_size());
   EXPECT_EQ(std::memcmp(buf.data(), v.data().data(), buf.size()), 0);
+  deployment.stop();
+}
+
+// Copy counters and tier hits summed over a deployment's servers.
+struct Copies {
+  std::uint64_t decode = 0, encode = 0, store = 0, tier = 0, door = 0;
+  std::uint64_t hits = 0;
+};
+
+Copies copies(TcpDeployment& deployment) {
+  Copies c;
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    BlockServer& srv = deployment.server(i);
+    auto& reg = srv.metrics_registry();
+    c.decode += reg.counter("dpss_server_copy_decode_bytes_total").value();
+    c.encode += reg.counter("dpss_server_copy_encode_bytes_total").value();
+    c.store += reg.counter("dpss_server_copy_store_bytes_total").value();
+    c.tier += srv.cache_metrics().copied_bytes;
+    c.hits += srv.cache_metrics().hits;
+    c.door += deployment.server_net_stats(i).copy_bytes;
+  }
+  return c;
+}
+
+// One rf=3 chain write of one block, then one warm read of it, counted
+// exactly.  Each replica copies the block once out of its request frame
+// and each forwarding hop once into the next frame; the store and the
+// tier copy nothing.  The read copies the block once on the server, into
+// its reply frame, and the reply leaves the reactor uncopied.  Every frame
+// a TcpStream sends is one send call.
+TEST(DpssTcp, ChainWriteAndWarmReadCopyCounts) {
+  constexpr std::uint32_t kBlock = 8192;
+  vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  TcpDeployment deployment(3);
+  ASSERT_TRUE(deployment.start().is_ok());
+  ASSERT_TRUE(
+      deployment.ingest(desc, kBlock, 1, /*replication_factor=*/3).is_ok());
+  auto client = deployment.make_client();
+  ASSERT_TRUE(client.is_ok());
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  DpssFile& f = *file.value();
+  auto& file_reg = f.metrics_registry();
+  auto file_copies = [&](const char* site) {
+    return file_reg.counter(std::string("dpss_client_copy_") + site +
+                            "_bytes_total")
+        .value();
+  };
+
+  const Copies c0 = copies(deployment);
+  const net::TcpCallCounts t0 = net::tcp_call_counts();
+  std::vector<std::uint8_t> block(kBlock, 0xAB);
+  ASSERT_TRUE(f.write(block.data(), block.size()).is_ok());
+  const Copies c1 = copies(deployment);
+  const net::TcpCallCounts t1 = net::tcp_call_counts();
+  EXPECT_EQ(c1.decode - c0.decode, 3u * kBlock);
+  EXPECT_EQ(c1.encode - c0.encode, 2u * kBlock);
+  EXPECT_EQ(c1.store - c0.store, 0u);
+  EXPECT_EQ(c1.tier - c0.tier, 0u);
+  // Client to primary, primary to second, second to third.
+  EXPECT_EQ(t1.frames_sent - t0.frames_sent, 3u);
+  EXPECT_EQ(t1.send_calls - t0.send_calls, 3u);
+  EXPECT_EQ(file_copies("user"), kBlock);
+  EXPECT_EQ(file_copies("encode"), kBlock);
+
+  std::vector<std::uint8_t> got(kBlock);
+  auto n = f.pread(got.data(), got.size(), 0);
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  EXPECT_EQ(got, block);
+  const Copies c2 = copies(deployment);
+  const net::TcpCallCounts t2 = net::tcp_call_counts();
+  EXPECT_EQ(c2.hits - c1.hits, 1u);  // written through, so warm
+  EXPECT_EQ(c2.decode - c1.decode, 0u);
+  EXPECT_EQ(c2.encode - c1.encode, std::uint64_t{kBlock});
+  EXPECT_EQ(c2.store - c1.store, 0u);
+  EXPECT_EQ(c2.tier - c1.tier, 0u);
+  // The front door copied the read request (into its read buffer, then
+  // into a Message) and not one byte of the reply.
+  const std::size_t request =
+      encode(BlockReadRequest{desc.name, 0, {}}).payload.size();
+  EXPECT_EQ(c2.door - c1.door, net::kFrameHeaderBytes + 2 * request);
+  EXPECT_EQ(t2.frames_sent - t1.frames_sent, 1u);
+  EXPECT_EQ(t2.send_calls - t1.send_calls, 1u);
+  // Decode copied the reply's wire bytes out of its frame.
+  EXPECT_EQ(file_reg.counter("dpss_client_wire_bytes_total").value(), kBlock);
+  EXPECT_EQ(file_copies("user"), 2u * kBlock);
   deployment.stop();
 }
 

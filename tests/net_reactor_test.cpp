@@ -729,6 +729,75 @@ TEST(ReactorServerWindow, WriteQueueCapStillShedsSlowConsumer) {
   server.close();
 }
 
+// Replies leave as (header, payload) iovecs gathered into sendmsg() calls.
+// Megabyte replies queued behind a client that is not reading yet overflow
+// the socket buffer, so writes stop mid-header or mid-payload and resume
+// there on EPOLLOUT; empty and one-byte payloads sit between them.  Every
+// byte must still arrive in order, the queue gauges must drain to zero,
+// and no reply byte may be copied on the way out.
+TEST(ReactorServer, PartialWritesResumeMidReply) {
+  const std::vector<std::size_t> sizes = {0,         1,   (5u << 20) + 7,
+                                          100,       0,   2u << 20,
+                                          (1u << 20) - 3, 5};
+  ReactorPool pool(2);
+  ReactorServerOptions opts;
+  opts.write_queue_cap_bytes = 64u << 20;
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        const std::uint32_t seq = seq_of(m);
+        Message r;
+        r.type = m.type;
+        r.payload.resize(sizes[seq]);
+        for (std::size_t i = 0; i < r.payload.size(); ++i) {
+          r.payload[i] = static_cast<std::uint8_t>(seq * 31 + i * 7);
+        }
+        return r;
+      },
+      opts);
+  ASSERT_TRUE(server.listen(0).is_ok());
+
+  auto client = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.is_ok());
+  // A small fixed receive buffer (no autotuning) keeps most of the 8 MiB
+  // in the server's queue.
+  const int rcvbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(static_cast<TcpStream&>(*client.value()).fd(),
+                         SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf),
+            0);
+  std::uint64_t request_bytes = 0;
+  for (std::uint32_t i = 0; i < sizes.size(); ++i) {
+    const Message req = seq_message(i);
+    request_bytes += kFrameHeaderBytes + 2 * req.payload.size();
+    ASSERT_TRUE(send_message(*client.value(), req).is_ok());
+  }
+  // Let the replies pile up against the full socket buffer first.
+  EXPECT_TRUE(test_support::wait_until(
+      [&] { return server.stats().queued_write_bytes > 0; }));
+  std::uint64_t reply_bytes = 0;
+  for (std::uint32_t i = 0; i < sizes.size(); ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok()) << "reply " << i;
+    ASSERT_EQ(reply.value().payload.size(), sizes[i]) << "reply " << i;
+    for (std::size_t b = 0; b < sizes[i]; ++b) {
+      ASSERT_EQ(reply.value().payload[b],
+                static_cast<std::uint8_t>(i * 31 + b * 7))
+          << "reply " << i << " byte " << b;
+    }
+    reply_bytes += kFrameHeaderBytes + sizes[i];
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.queued_write_bytes, 0u);
+  EXPECT_EQ(stats.bytes_written, reply_bytes);
+  EXPECT_GE(stats.queued_write_hwm_bytes, 2u << 20);
+  // Requests were copied into the read buffer and out into their Message;
+  // the replies were not copied at all.
+  EXPECT_EQ(stats.copy_bytes, request_bytes);
+  EXPECT_GT(stats.send_calls, 0u);
+  EXPECT_GT(stats.recv_calls, 0u);
+  server.close();
+}
+
 // ---- deferred replies ----
 
 TEST(ReactorServerDeferral, RepliesLeaveInRequestOrderAfterTheLongestDelay) {

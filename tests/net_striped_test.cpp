@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -119,6 +122,86 @@ TEST(Striped, TruncatedLaneDetected) {
     EXPECT_EQ(got.value(), payload);
   } else {
     SUCCEED();
+  }
+}
+
+// Peak resident set of this process (VmHWM), in bytes; 0 if unknown.
+std::size_t peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoul(line.substr(6)) * 1024;
+  }
+  return 0;
+}
+
+// One lane's raw wire bytes: a preamble, then optional stripe headers.
+void send_preamble(ByteStream& lane, std::uint64_t total_len,
+                   std::uint32_t stripes) {
+  std::uint8_t preamble[20] = {};
+  std::memcpy(preamble + 8, &total_len, 8);
+  std::memcpy(preamble + 16, &stripes, 4);
+  ASSERT_TRUE(lane.send_all(preamble, sizeof preamble).is_ok());
+}
+
+void send_stripe_header(ByteStream& lane, std::uint64_t offset,
+                        std::uint64_t len) {
+  std::uint8_t header[16];
+  std::memcpy(header, &offset, 8);
+  std::memcpy(header + 8, &len, 8);
+  ASSERT_TRUE(lane.send_all(header, sizeof header).is_ok());
+}
+
+// A 20-byte preamble claiming 2^40 bytes, then a close: the receiver must
+// answer with a status, holding nothing near the claimed size (each lane
+// runs on its own thread, where a bad_alloc would abort the process).
+TEST(Striped, ClaimedLengthIsNotAllocatedUpFront) {
+  auto [a, b] = make_pipe();
+  StripedStream rx({b});
+  send_preamble(*a, 1ull << 40, 1);
+  a->close();
+  const std::size_t before = peak_rss_bytes();
+  auto got = rx.recv();
+  EXPECT_EQ(got.status().code(), core::StatusCode::kUnavailable);
+  EXPECT_LT(peak_rss_bytes() - before, std::size_t{64} << 20);
+}
+
+// A stripe claiming 2^40 bytes of a 2^40-byte payload, 16 bytes of it and
+// a close: the stripe body is read in bounded chunks as bytes arrive.
+TEST(Striped, ClaimedStripeIsNotAllocatedUpFront) {
+  auto [a, b] = make_pipe();
+  StripedStream rx({b});
+  send_preamble(*a, 1ull << 40, 1);
+  send_stripe_header(*a, 0, 1ull << 40);
+  ASSERT_TRUE(a->send_bytes(std::vector<std::uint8_t>(16, 0x5A)).is_ok());
+  a->close();
+  const std::size_t before = peak_rss_bytes();
+  auto got = rx.recv();
+  EXPECT_EQ(got.status().code(), core::StatusCode::kDataLoss);
+  EXPECT_LT(peak_rss_bytes() - before, std::size_t{64} << 20);
+}
+
+// Stripes that run past the claimed length, or overlap while adding up to
+// it, are rejected instead of assembled.
+TEST(Striped, StripesMustTileThePayload) {
+  {
+    auto [a, b] = make_pipe();
+    StripedStream rx({b});
+    send_preamble(*a, 8, 1);
+    send_stripe_header(*a, 4, 8);  // [4, 12) of an 8-byte payload
+    auto got = rx.recv();
+    EXPECT_EQ(got.status().code(), core::StatusCode::kDataLoss);
+  }
+  {
+    auto [a, b] = make_pipe();
+    StripedStream rx({b});
+    send_preamble(*a, 8, 2);
+    send_stripe_header(*a, 0, 4);
+    ASSERT_TRUE(a->send_bytes({1, 2, 3, 4}).is_ok());
+    send_stripe_header(*a, 0, 4);  // overlaps, leaving [4, 8) unsent
+    ASSERT_TRUE(a->send_bytes({5, 6, 7, 8}).is_ok());
+    auto got = rx.recv();
+    EXPECT_EQ(got.status().code(), core::StatusCode::kDataLoss);
   }
 }
 
