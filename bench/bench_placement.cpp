@@ -125,10 +125,6 @@ SweepPoint run_sweep_point(const vol::DatasetDesc& dataset, int conns) {
 
   dpss::TcpDeploymentOptions options;
   options.worker_threads = 8;
-  // Openings at the high end race a cold accept path; a short connect
-  // deadline turns a fallen-over front door into a counted failure instead
-  // of a minutes-long stall.
-  options.connect_timeout_seconds = 5.0;
   dpss::TcpDeployment deployment(1, dpss::DiskModel{}, /*throttle=*/false,
                                  dpss::ServerCacheConfig{}, options);
   if (!deployment.start().is_ok()) return out;

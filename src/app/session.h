@@ -1,7 +1,8 @@
 // Whole-application sessions: DPSS cache + back end + viewer in one process.
 //
 // The paper's deployments place these components at different sites; here
-// they are wired over in-memory pipes (deterministic, used by tests and the
+// they are wired in-process (the back end and viewer over in-memory pipes,
+// the DPSS over a PipeDeployment's socketpair doors; used by tests and the
 // quickstart) while preserving the real concurrency structure: mpp ranks
 // for the back-end PEs, a reader pthread per PE in overlapped mode, one
 // viewer I/O thread per PE, a decoupled viewer render thread, and parallel

@@ -516,11 +516,56 @@ core::Status apply_fixup(
 
 // ---- deployment --------------------------------------------------------------
 
+namespace {
+
+// Every door shares these.  Outbound connects (clients and server-to-server
+// peer links) fail with kDeadlineExceeded after kConnectTimeoutSeconds
+// instead of hanging on a dead or overloaded address; failover then tries
+// the next replica.  Once a request's first byte arrives the rest must
+// follow within kRequestReadTimeoutSeconds, or the connection is shed and
+// counted.  Un-drained reply bytes beyond kWriteQueueCapBytes close a
+// connection (back-pressure).
+constexpr double kConnectTimeoutSeconds = 5.0;
+constexpr double kRequestReadTimeoutSeconds = 10.0;
+constexpr std::size_t kWriteQueueCapBytes = 4u << 20;
+
+net::ReactorServerOptions front_options() {
+  net::ReactorServerOptions o;
+  o.request_read_timeout_seconds = kRequestReadTimeoutSeconds;
+  o.write_queue_cap_bytes = kWriteQueueCapBytes;
+  return o;
+}
+
+}  // namespace
+
+// One block server's doors: the client door on its worker pool and the
+// peer door on an elastic pool, plus the collector exporting their stats
+// through the server's registry.  Declaration order is teardown order in
+// reverse: the pools outlive the doors that dispatch onto them.
+struct Deployment::ServerDoors {
+  std::unique_ptr<core::ThreadPool> workers;
+  std::unique_ptr<core::ThreadPool> peer_workers;
+  std::unique_ptr<net::ReactorServer> front;
+  // Dedicated peer door: chain forwards and parity deltas from other
+  // servers land here on their own pool.  With a single shared pool per
+  // server, concurrent client writes can park every worker on a blocking
+  // peer exchange -- A's workers wait on B's replies while B's workers wait
+  // on A's, and the forwards that would unblock them sit queued behind the
+  // blocked workers forever.  Splitting the doors makes the wait graph
+  // acyclic: a forwarded hop always carries a strictly shorter chain tail,
+  // so peer-pool workers bottom out at a hop that completes locally.
+  std::unique_ptr<net::ReactorServer> peer_front;
+  std::uint64_t collector = 0;
+};
+
 Deployment::Deployment(int server_count, DiskModel disk, bool throttle,
-                       ServerCacheConfig cache)
-    : disk_(disk), throttle_(throttle), cache_config_(cache) {
+                       ServerCacheConfig cache, TcpDeploymentOptions options)
+    : disk_(disk),
+      throttle_(throttle),
+      cache_config_(cache),
+      options_(options) {
   for (int i = 0; i < server_count; ++i) {
-    members_.push_back({new_server(i), Doors{}, State::kClosed});
+    members_.emplace_back(new_server(i));
   }
   // Generation source for the master's rebalance planner: the min stamp
   // `addr` holds across a placement group's blocks, or -1 when it does not
@@ -563,7 +608,7 @@ std::unique_ptr<BlockServer> Deployment::new_server(int i) {
         {
           std::lock_guard lk(state_mu_);
           for (const Member& m : members_) {
-            if (m.doors.client == addr) target = m.doors.peer;
+            if (m.addr.client == addr) target = m.addr.peer;
           }
         }
         return connect(target);
@@ -579,22 +624,184 @@ int Deployment::server_count() const {
 ServerAddress Deployment::server_address(int i) const {
   std::lock_guard lk(state_mu_);
   if (i < 0 || static_cast<std::size_t>(i) >= members_.size()) return {};
-  return members_[static_cast<std::size_t>(i)].doors.client;
+  return members_[static_cast<std::size_t>(i)].addr.client;
+}
+
+ServerAddress Deployment::master_address() const {
+  return master_front_ ? master_addr_ : ServerAddress{};
+}
+
+Deployment::~Deployment() = default;
+
+core::Status Deployment::open_master_door() {
+  if (master_front_) return core::Status::ok();
+  // One shared pool of event loops serves the master and every block
+  // server; connections are dealt round-robin across the loops.
+  reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
+
+  // Master handlers are pure catalog/health bookkeeping -- they never
+  // block, so they run inline on the loops (workers = nullptr).
+  Master* master = &master_;
+  auto front = std::make_unique<net::ReactorServer>(
+      *reactors_,
+      [master](net::Message&& msg, std::uint64_t) {
+        return master->handle_request(std::move(msg));
+      },
+      front_options());
+  front->set_read_timeout_observer([master] { master->note_read_timeout(); });
+  auto addr = open_door(*front, ServerAddress{"master", 0}, master_addr_);
+  if (!addr.is_ok()) return addr.status();
+  master_addr_ = addr.value();
+  master_front_ = std::move(front);
+
+  // The master's exposition additionally carries the shared reactor
+  // pool's per-loop counters (labelled loop="N") and its own door.
+  master_collector_ = master_.metrics_registry().add_collector(
+      [this](std::vector<obs::Sample>& out) {
+        const auto loops = reactor_stats();
+        for (std::size_t i = 0; i < loops.size(); ++i) {
+          const std::string label = "loop=\"" + std::to_string(i) + "\"";
+          auto emit = [&](const char* name, double v) {
+            out.push_back(obs::Sample{name, label, v});
+          };
+          emit("net_reactor_wakeups_total",
+               static_cast<double>(loops[i].wakeups));
+          emit("net_reactor_fd_dispatches_total",
+               static_cast<double>(loops[i].fd_dispatches));
+          emit("net_reactor_timers_fired_total",
+               static_cast<double>(loops[i].timers_fired));
+          emit("net_reactor_tasks_run_total",
+               static_cast<double>(loops[i].tasks_run));
+          emit("net_reactor_fds", static_cast<double>(loops[i].fds));
+          emit("net_reactor_timers_pending",
+               static_cast<double>(loops[i].timers_pending));
+          emit("net_reactor_tasks_queued",
+               static_cast<double>(loops[i].tasks_queued));
+          // USE view of the loop: busy fraction (utilization) and
+          // dispatch wait quantiles (saturation of the task queue).
+          emit("dpss_util_loop_busy_fraction", loops[i].busy_fraction());
+          emit("dpss_util_loop_busy_seconds", loops[i].busy_seconds);
+          emit("dpss_util_loop_idle_seconds", loops[i].idle_seconds);
+          const auto dw = reactors_->at(static_cast<int>(i)).dispatch_wait();
+          emit("dpss_util_loop_dispatch_wait_seconds_count",
+               static_cast<double>(dw.count));
+          emit("dpss_util_loop_dispatch_wait_seconds_p50", dw.p50());
+          emit("dpss_util_loop_dispatch_wait_seconds_p95", dw.p95());
+          emit("dpss_util_loop_dispatch_wait_seconds_p99", dw.p99());
+        }
+        double busy_max = 0.0;
+        for (const auto& l : loops)
+          busy_max = std::max(busy_max, l.busy_fraction());
+        out.push_back({"dpss_util_loop_busy_fraction_max", "", busy_max});
+        // Every TcpStream in this process: the client and peer side of the
+        // socket-call count the reactor keeps for its doors.
+        const net::TcpCallCounts tcp = net::tcp_call_counts();
+        out.push_back({"net_tcp_send_calls_total", "",
+                       static_cast<double>(tcp.send_calls)});
+        out.push_back({"net_tcp_recv_calls_total", "",
+                       static_cast<double>(tcp.recv_calls)});
+        out.push_back({"net_tcp_frames_sent_total", "",
+                       static_cast<double>(tcp.frames_sent)});
+        collect_front_stats("dpss_master_net", master_net_stats(), out,
+                            "master");
+      });
+  return core::Status::ok();
 }
 
 core::Status Deployment::open_member(int i) {
-  Doors at;
+  if (auto st = open_master_door(); !st.is_ok()) return st;
+  Addresses at;
+  std::shared_ptr<ServerDoors> old;
+  BlockServer* srv = nullptr;
   {
     std::lock_guard lk(state_mu_);
-    at = members_[static_cast<std::size_t>(i)].doors;
+    const Member& m = members_[static_cast<std::size_t>(i)];
+    at = m.addr;
+    old = m.doors;
+    srv = m.server.get();
   }
-  auto doors = open_doors(i, at);
-  if (!doors.is_ok()) return doors.status();
+  // A revive replaces the closed doors of the killed incarnation.
+  if (old) retire(i, *old);
+  auto handler = [srv](net::Message&& msg, std::uint64_t conn_id) {
+    return srv->dispatch(std::move(msg), conn_id);
+  };
+  auto d = std::make_shared<ServerDoors>();
+  // Block-server handlers may forward down a replica chain, so each server
+  // offloads to its own worker pool; per-server pools keep a forwarded hop
+  // from starving the downstream server's inbound capacity.  Modelled disk
+  // reads hold no worker: the handler returns at once and its reply waits
+  // out the read on a loop timer.
+  d->workers =
+      std::make_unique<core::ThreadPool>(std::max(1, options_.worker_threads));
+  core::ThreadPool* pool = d->workers.get();
+  // Feed the pool's per-task wait/run timings into registered histograms
+  // so the exposition carries p50/p95/p99 saturation quantiles for each
+  // server's worker pool.
+  obs::Histogram& wait_hist =
+      srv->metrics_registry().histogram("dpss_util_pool_task_wait_seconds");
+  obs::Histogram& run_hist =
+      srv->metrics_registry().histogram("dpss_util_pool_task_run_seconds");
+  pool->set_task_observer([&wait_hist, &run_hist](double wait_s, double run_s) {
+    wait_hist.observe(wait_s);
+    run_hist.observe(run_s);
+  });
+  // Block reads are independent of each other, so consecutive reads
+  // pipelined on one client connection overlap -- on the workers and on
+  // the modelled spindles, whichever allows more; writes and introspection
+  // stay barriers.  The peer door keeps strict serial dispatch.
+  net::ReactorServerOptions front_opts = front_options();
+  front_opts.overlappable = [](std::uint32_t type) {
+    return type == kBlockReadRequest;
+  };
+  front_opts.window = static_cast<std::size_t>(
+      std::max({1, options_.worker_threads, srv->disk_model().disks}));
+  d->front = std::make_unique<net::ReactorServer>(*reactors_, handler,
+                                                  front_opts, pool);
+  d->front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
+  // The peer door's pool is ELASTIC: client writes saturating the main
+  // pool must never starve an incoming chain forward, and a forward
+  // blocked on the next hop must never starve that hop's own forward (see
+  // ServerDoors::peer_front).  Elasticity is what makes the argument hold
+  // at every chain depth: a peer task always gets a worker, so blocking
+  // chains bottom out at the terminal hop instead of deadlocking on pool
+  // capacity.
+  d->peer_workers = std::make_unique<core::ThreadPool>(
+      std::max(1, options_.worker_threads), /*elastic=*/true);
+  core::ThreadPool* peer_pool = d->peer_workers.get();
+  d->peer_front = std::make_unique<net::ReactorServer>(
+      *reactors_, handler, front_options(), peer_pool);
+  const std::string name = "server-" + std::to_string(i);
+  const auto index = static_cast<std::uint16_t>(i);
+  auto client = open_door(*d->front, ServerAddress{name, index}, at.client);
+  if (!client.is_ok()) return client.status();
+  auto peer =
+      open_door(*d->peer_front, ServerAddress{name + "-peer", index}, at.peer);
+  if (!peer.is_ok()) return peer.status();
+  // Surface both doors' transport counters and the worker pools' USE
+  // gauges through this server's own kStats registry (removed in retire()
+  // before the doors and pools die).
+  net::ReactorServer* front = d->front.get();
+  net::ReactorServer* peer_front = d->peer_front.get();
+  d->collector = srv->metrics_registry().add_collector(
+      [front, peer_front, pool, peer_pool](std::vector<obs::Sample>& out) {
+        collect_front_stats("dpss_server_net", front->stats(), out);
+        collect_front_stats("dpss_server_peer_net", peer_front->stats(), out,
+                            "peer");
+        collect_pool_stats(pool->stats(), out);
+        collect_pool_stats(peer_pool->stats(), out, "dpss_util_peer_pool");
+      });
   std::lock_guard lk(state_mu_);
   Member& m = members_[static_cast<std::size_t>(i)];
-  m.doors = std::move(doors).take();
+  m.addr = Addresses{client.value(), peer.value()};
+  m.doors = std::move(d);
   m.state = State::kServing;
   return core::Status::ok();
+}
+
+void Deployment::retire(int i, ServerDoors& doors) {
+  server(i).metrics_registry().remove_collector(doors.collector);
+  doors.front->close();
+  doors.peer_front->close();
 }
 
 Deployment::State Deployment::state(int i) const {
@@ -604,7 +811,8 @@ Deployment::State Deployment::state(int i) const {
              : State::kClosed;
 }
 
-core::Status Deployment::open_all_doors() {
+core::Status Deployment::start() {
+  if (auto st = open_master_door(); !st.is_ok()) return st;
   for (int i = 0; i < server_count(); ++i) {
     if (state(i) != State::kClosed) continue;
     if (auto st = open_member(i); !st.is_ok()) return st;
@@ -612,28 +820,69 @@ core::Status Deployment::open_all_doors() {
   return core::Status::ok();
 }
 
-void Deployment::shutdown() {
-  master_.shutdown();
+core::Result<net::StreamPtr> Deployment::connect_local(
+    const ServerAddress& addr) {
+  if (master_front_ && addr == master_addr_) {
+    return master_front_->connect_local();
+  }
+  std::lock_guard lk(state_mu_);
+  for (const Member& m : members_) {
+    if (!m.doors) continue;
+    if (m.addr.client == addr) return m.doors->front->connect_local();
+    if (m.addr.peer == addr) return m.doors->peer_front->connect_local();
+  }
+  return core::not_found("no door at " + addr.key());
+}
+
+void Deployment::stop() {
+  if (!master_front_) return;
+  // Unregister the stats collectors before the doors they read die.
+  master_.metrics_registry().remove_collector(master_collector_);
+  master_collector_ = 0;
+  master_front_->close();
+  std::vector<std::shared_ptr<ServerDoors>> doors;
+  {
+    std::lock_guard lk(state_mu_);
+    for (Member& m : members_) doors.push_back(std::move(m.doors));
+  }
+  for (std::size_t i = 0; i < doors.size(); ++i) {
+    if (doors[i]) retire(static_cast<int>(i), *doors[i]);
+  }
+  doors.clear();
+  master_front_.reset();
+  reactors_.reset();
   for (int i = 0; i < server_count(); ++i) server(i).shutdown();
 }
 
-core::Result<BlockServer*> Deployment::serving_server(
-    const ServerAddress& addr) const {
+std::vector<net::ReactorStats> Deployment::reactor_stats() const {
+  return reactors_ ? reactors_->stats() : std::vector<net::ReactorStats>{};
+}
+
+std::shared_ptr<Deployment::ServerDoors> Deployment::doors_of(int i) const {
   std::lock_guard lk(state_mu_);
-  for (const Member& m : members_) {
-    if (m.doors.client != addr) continue;
-    if (m.state != State::kServing) {
-      return core::unavailable("server not serving: " + addr.key());
-    }
-    return m.server.get();
-  }
-  return core::not_found("unknown server: " + addr.key());
+  return i >= 0 && static_cast<std::size_t>(i) < members_.size()
+             ? members_[static_cast<std::size_t>(i)].doors
+             : nullptr;
+}
+
+net::ReactorServerStats Deployment::server_net_stats(int i) const {
+  const auto doors = doors_of(i);
+  return doors ? doors->front->stats() : net::ReactorServerStats{};
+}
+
+net::ReactorServerStats Deployment::server_peer_net_stats(int i) const {
+  const auto doors = doors_of(i);
+  return doors ? doors->peer_front->stats() : net::ReactorServerStats{};
+}
+
+net::ReactorServerStats Deployment::master_net_stats() const {
+  return master_front_ ? master_front_->stats() : net::ReactorServerStats{};
 }
 
 BlockServer* Deployment::server_for(const ServerAddress& addr) {
   std::lock_guard lk(state_mu_);
   for (const Member& m : members_) {
-    if (m.doors.client == addr) return m.server.get();
+    if (m.addr.client == addr) return m.server.get();
   }
   return nullptr;
 }
@@ -643,7 +892,7 @@ void Deployment::snapshot(std::vector<BlockServer*>* servers,
   std::lock_guard lk(state_mu_);
   for (const Member& m : members_) {
     servers->push_back(m.server.get());
-    addresses->push_back(m.doors.client);
+    addresses->push_back(m.addr.client);
   }
 }
 
@@ -652,7 +901,7 @@ core::Status Deployment::ingest(const vol::DatasetDesc& desc,
                                 std::uint32_t stripe_blocks,
                                 std::uint32_t replication_factor,
                                 const codec::EcProfile& ec) {
-  if (auto st = open_all_doors(); !st.is_ok()) return st;
+  if (auto st = start(); !st.is_ok()) return st;
   std::vector<BlockServer*> servers;
   std::vector<ServerAddress> addresses;
   snapshot(&servers, &addresses);
@@ -664,7 +913,7 @@ core::Status Deployment::ingest(const vol::DatasetDesc& desc,
 core::Status Deployment::generate_thumbnails(
     const vol::DatasetDesc& desc, const render::TransferFunction& tf,
     const ThumbnailOptions& options) {
-  if (auto st = open_all_doors(); !st.is_ok()) return st;
+  if (auto st = start(); !st.is_ok()) return st;
   std::vector<BlockServer*> servers;
   std::vector<ServerAddress> addresses;
   snapshot(&servers, &addresses);
@@ -674,19 +923,25 @@ core::Status Deployment::generate_thumbnails(
 
 void Deployment::kill_server(int i) {
   BlockServer* srv = nullptr;
+  std::shared_ptr<ServerDoors> doors;
   {
     std::lock_guard lk(state_mu_);
     if (i < 0 || static_cast<std::size_t>(i) >= members_.size() ||
         members_[static_cast<std::size_t>(i)].state != State::kServing) {
       return;
     }
-    members_[static_cast<std::size_t>(i)].state = State::kKilled;
-    srv = members_[static_cast<std::size_t>(i)].server.get();
+    Member& m = members_[static_cast<std::size_t>(i)];
+    m.state = State::kKilled;
+    srv = m.server.get();
+    doors = m.doors;
   }
-  // Outside the lock: close the doors first (draining in-flight handlers),
-  // then shut the server down, which joins its pipe service threads and
-  // drops its pooled peer links.
-  close_doors(i);
+  // Outside the lock: close() waits until no handler of the doors is
+  // running, and a running handler may dial a peer through state_mu_.
+  // Then the server drops its pooled peer links.
+  if (doors) {
+    doors->front->close();
+    doors->peer_front->close();
+  }
   srv->shutdown();
 }
 
@@ -709,14 +964,14 @@ int Deployment::add_server() {
     {
       std::lock_guard lk(state_mu_);
       i = static_cast<int>(members_.size());
-      members_.push_back({new_server(i), Doors{}, State::kClosed});
+      members_.emplace_back(new_server(i));
     }
     if (trace_sink_capacity_ > 0) {
       server(i).set_logger(trace_logger(server(i).name()));
     }
   }
   // Fresh doors; a server that cannot open them stays closed until the
-  // next open_all_doors().
+  // next start().
   if (open_member(i).is_ok()) master_.heartbeat(server_address(i), 0);
   return i;
 }
@@ -736,7 +991,7 @@ void Deployment::heartbeat_all(double now) {
     std::lock_guard lk(state_mu_);
     for (const Member& m : members_) {
       if (m.state != State::kServing) continue;
-      beats.emplace_back(m.doors.client, m.server->requests_served());
+      beats.emplace_back(m.addr.client, m.server->requests_served());
       // Gossip: each live server's per-dataset max generation rides its
       // heartbeat; the master ratchets them into floors for OpenReplys.
       for (const auto& name : m.server->dataset_names()) {
@@ -755,7 +1010,7 @@ core::Status Deployment::rebalance_dataset(const std::string& name) {
   {
     std::lock_guard lk(state_mu_);
     for (const Member& m : members_) {
-      if (m.state == State::kServing) live.push_back(m.doors.client);
+      if (m.state == State::kServing) live.push_back(m.addr.client);
     }
   }
   // Hand the master the live membership and execute the plan against the
@@ -818,304 +1073,58 @@ std::uint64_t Deployment::export_spans() {
 
 PipeDeployment::PipeDeployment(int server_count, DiskModel disk,
                                ServerCacheConfig cache)
-    : Deployment(server_count, disk, /*throttle=*/false, cache) {
-  open_all_doors();  // cannot fail: pipe doors are bookkeeping
+    : Deployment(server_count, disk, /*throttle=*/false, cache,
+                 TcpDeploymentOptions{}) {
+  start();  // cannot fail: a pipe door opens no socket
 }
 
-PipeDeployment::~PipeDeployment() { shutdown(); }
+PipeDeployment::~PipeDeployment() { stop(); }
 
-core::Result<Deployment::Doors> PipeDeployment::open_doors(int i,
-                                                          const Doors&) {
-  const ServerAddress addr{"pipe-server-" + std::to_string(i),
-                           static_cast<std::uint16_t>(i)};
-  return Doors{addr, addr};
+core::Result<ServerAddress> PipeDeployment::open_door(net::ReactorServer&,
+                                                      const ServerAddress& name,
+                                                      const ServerAddress&) {
+  return ServerAddress{"pipe-" + name.host, name.port};
 }
 
 core::Result<net::StreamPtr> PipeDeployment::connect(
     const ServerAddress& addr) {
-  auto server = serving_server(addr);
-  if (!server.is_ok()) return server.status();
-  auto [near_end, far_end] = net::make_pipe();
-  server.value()->serve(far_end);
-  return near_end;
+  return connect_local(addr);
 }
 
 DpssClient PipeDeployment::make_client() {
-  auto [client_end, master_end] = net::make_pipe();
-  master().serve(master_end);
-  return DpssClient(client_end, [this](const ServerAddress& addr) {
-    return connect(addr);
-  });
+  auto master = connect_local(master_address());
+  // With no socket to be had (stopped, or out of descriptors) the client
+  // gets a pipe whose far end is gone, so its every request fails.
+  return DpssClient(
+      master.is_ok() ? std::move(master).take() : net::make_pipe().first,
+      [this](const ServerAddress& addr) { return connect_local(addr); });
 }
 
 // ---- TCP transport -----------------------------------------------------------
 
-// One block server's doors: the client door on its worker pool and the
-// peer door on an elastic pool, plus the collector exporting their stats
-// through the server's registry.  Declaration order is teardown order in
-// reverse: the pools outlive the doors that dispatch onto them.
-struct TcpDeployment::ServerDoors {
-  std::unique_ptr<core::ThreadPool> workers;
-  std::unique_ptr<core::ThreadPool> peer_workers;
-  std::unique_ptr<net::ReactorServer> front;
-  // Dedicated peer door: chain forwards and parity deltas from other
-  // servers land here on their own pool.  With a single shared pool per
-  // server, concurrent client writes can park every worker on a blocking
-  // peer exchange -- A's workers wait on B's replies while B's workers wait
-  // on A's, and the forwards that would unblock them sit queued behind the
-  // blocked workers forever.  Splitting the doors makes the wait graph
-  // acyclic: a forwarded hop always carries a strictly shorter chain tail,
-  // so peer-pool workers bottom out at a hop that completes locally.
-  std::unique_ptr<net::ReactorServer> peer_front;
-  std::uint64_t collector = 0;
-};
-
 TcpDeployment::TcpDeployment(int server_count, DiskModel disk, bool throttle,
                              ServerCacheConfig cache,
                              TcpDeploymentOptions options)
-    : Deployment(server_count, disk, throttle, cache), options_(options) {}
+    : Deployment(server_count, disk, throttle, cache, options) {}
 
 TcpDeployment::~TcpDeployment() { stop(); }
 
-core::Status TcpDeployment::start() {
-  if (auto st = open_master_door(); !st.is_ok()) return st;
-  return open_all_doors();
-}
-
-core::Status TcpDeployment::open_master_door() {
-  if (master_front_) return core::Status::ok();
-  // One shared pool of event loops fronts the master and every block
-  // server; connections are dealt round-robin across the loops.
-  reactors_ = std::make_unique<net::ReactorPool>(options_.reactor_loops);
-
-  // Master handlers are pure catalog/health bookkeeping -- they never
-  // block, so they run inline on the loops (workers = nullptr).
-  Master* master = &this->master();
-  auto front = std::make_unique<net::ReactorServer>(
-      *reactors_,
-      [master](net::Message&& msg, std::uint64_t) {
-        return master->handle_request(std::move(msg));
-      },
-      front_options());
-  front->set_read_timeout_observer([master] { master->note_read_timeout(); });
-  if (auto st = front->listen(0); !st.is_ok()) return st;
-  master_front_ = std::move(front);
-
-  // The master's exposition additionally carries the shared reactor
-  // pool's per-loop counters (labelled loop="N") and its own front door.
-  master_collector_ = master->metrics_registry().add_collector(
-      [this](std::vector<obs::Sample>& out) {
-        const auto loops = reactor_stats();
-        for (std::size_t i = 0; i < loops.size(); ++i) {
-          const std::string label = "loop=\"" + std::to_string(i) + "\"";
-          auto emit = [&](const char* name, double v) {
-            out.push_back(obs::Sample{name, label, v});
-          };
-          emit("net_reactor_wakeups_total",
-               static_cast<double>(loops[i].wakeups));
-          emit("net_reactor_fd_dispatches_total",
-               static_cast<double>(loops[i].fd_dispatches));
-          emit("net_reactor_timers_fired_total",
-               static_cast<double>(loops[i].timers_fired));
-          emit("net_reactor_tasks_run_total",
-               static_cast<double>(loops[i].tasks_run));
-          emit("net_reactor_fds", static_cast<double>(loops[i].fds));
-          emit("net_reactor_timers_pending",
-               static_cast<double>(loops[i].timers_pending));
-          emit("net_reactor_tasks_queued",
-               static_cast<double>(loops[i].tasks_queued));
-          // USE view of the loop: busy fraction (utilization) and
-          // dispatch wait quantiles (saturation of the task queue).
-          emit("dpss_util_loop_busy_fraction", loops[i].busy_fraction());
-          emit("dpss_util_loop_busy_seconds", loops[i].busy_seconds);
-          emit("dpss_util_loop_idle_seconds", loops[i].idle_seconds);
-          const auto dw = reactors_->at(static_cast<int>(i)).dispatch_wait();
-          emit("dpss_util_loop_dispatch_wait_seconds_count",
-               static_cast<double>(dw.count));
-          emit("dpss_util_loop_dispatch_wait_seconds_p50", dw.p50());
-          emit("dpss_util_loop_dispatch_wait_seconds_p95", dw.p95());
-          emit("dpss_util_loop_dispatch_wait_seconds_p99", dw.p99());
-        }
-        double busy_max = 0.0;
-        for (const auto& l : loops)
-          busy_max = std::max(busy_max, l.busy_fraction());
-        out.push_back({"dpss_util_loop_busy_fraction_max", "", busy_max});
-        // Every TcpStream in this process: the client and peer side of the
-        // socket-call count the reactor keeps for its doors.
-        const net::TcpCallCounts tcp = net::tcp_call_counts();
-        out.push_back({"net_tcp_send_calls_total", "",
-                       static_cast<double>(tcp.send_calls)});
-        out.push_back({"net_tcp_recv_calls_total", "",
-                       static_cast<double>(tcp.recv_calls)});
-        out.push_back({"net_tcp_frames_sent_total", "",
-                       static_cast<double>(tcp.frames_sent)});
-        collect_front_stats("dpss_master_net", master_net_stats(), out,
-                            "master");
-      });
-  return core::Status::ok();
-}
-
-core::Result<Deployment::Doors> TcpDeployment::open_doors(int i,
-                                                         const Doors& at) {
-  if (auto st = open_master_door(); !st.is_ok()) return st;
-  std::unique_ptr<ServerDoors> old;
-  {
-    std::lock_guard lk(doors_mu_);
-    if (static_cast<std::size_t>(i) >= doors_.size()) {
-      doors_.resize(static_cast<std::size_t>(i) + 1);
-    }
-    old = std::move(doors_[static_cast<std::size_t>(i)]);
-  }
-  // A revive replaces the closed doors of the killed incarnation.
-  if (old) retire(i, *old);
-  const net::ReactorServerOptions ropts = front_options();
-  BlockServer* srv = &server(i);
-  auto handler = [srv](net::Message&& msg, std::uint64_t conn_id) {
-    return srv->dispatch(std::move(msg), conn_id);
-  };
-  auto d = std::make_unique<ServerDoors>();
-  // Block-server handlers may forward down a replica chain, so each server
-  // offloads to its own worker pool; per-server pools keep a forwarded hop
-  // from starving the downstream server's inbound capacity.  Modelled disk
-  // reads hold no worker: the handler returns at once and its reply waits
-  // out the read on a loop timer.
-  d->workers =
-      std::make_unique<core::ThreadPool>(std::max(1, options_.worker_threads));
-  core::ThreadPool* pool = d->workers.get();
-  // Feed the pool's per-task wait/run timings into registered histograms
-  // so the exposition carries p50/p95/p99 saturation quantiles for each
-  // server's worker pool.
-  obs::Histogram& wait_hist =
-      srv->metrics_registry().histogram("dpss_util_pool_task_wait_seconds");
-  obs::Histogram& run_hist =
-      srv->metrics_registry().histogram("dpss_util_pool_task_run_seconds");
-  pool->set_task_observer([&wait_hist, &run_hist](double wait_s, double run_s) {
-    wait_hist.observe(wait_s);
-    run_hist.observe(run_s);
-  });
-  // Block reads are independent of each other, so consecutive reads
-  // pipelined on one client connection overlap -- on the workers and on
-  // the modelled spindles, whichever allows more; writes and introspection
-  // stay barriers.  The peer door keeps strict serial dispatch.
-  net::ReactorServerOptions front_opts = ropts;
-  front_opts.overlappable = [](std::uint32_t type) {
-    return type == kBlockReadRequest;
-  };
-  front_opts.window = static_cast<std::size_t>(
-      std::max({1, options_.worker_threads, srv->disk_model().disks}));
-  d->front = std::make_unique<net::ReactorServer>(*reactors_, handler,
-                                                  front_opts, pool);
-  d->front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });
-  if (auto st = d->front->listen(at.client.port); !st.is_ok()) return st;
-  // The peer door's pool is ELASTIC: client writes saturating the main
-  // pool must never starve an incoming chain forward, and a forward
-  // blocked on the next hop must never starve that hop's own forward (see
-  // ServerDoors::peer_front).  Elasticity is what makes the argument hold
-  // at every chain depth: a peer task always gets a worker, so blocking
-  // chains bottom out at the terminal hop instead of deadlocking on pool
-  // capacity.
-  d->peer_workers = std::make_unique<core::ThreadPool>(
-      std::max(1, options_.worker_threads), /*elastic=*/true);
-  core::ThreadPool* peer_pool = d->peer_workers.get();
-  d->peer_front = std::make_unique<net::ReactorServer>(*reactors_, handler,
-                                                       ropts, peer_pool);
-  if (auto st = d->peer_front->listen(at.peer.port); !st.is_ok()) return st;
-  // Surface this server's front-door transport counters and worker pool
-  // USE gauges through its own kStats registry (removed in retire() before
-  // the front and pools die).
-  net::ReactorServer* front = d->front.get();
-  d->collector = srv->metrics_registry().add_collector(
-      [front, pool, peer_pool](std::vector<obs::Sample>& out) {
-        collect_front_stats("dpss_server_net", front->stats(), out);
-        collect_pool_stats(pool->stats(), out);
-        collect_pool_stats(peer_pool->stats(), out, "dpss_util_peer_pool");
-      });
-  const Doors doors{ServerAddress{"127.0.0.1", d->front->port()},
-                    ServerAddress{"127.0.0.1", d->peer_front->port()}};
-  std::lock_guard lk(doors_mu_);
-  doors_[static_cast<std::size_t>(i)] = std::move(d);
-  return doors;
-}
-
-void TcpDeployment::close_doors(int i) {
-  ServerDoors* d = nullptr;
-  {
-    std::lock_guard lk(doors_mu_);
-    if (static_cast<std::size_t>(i) < doors_.size()) {
-      d = doors_[static_cast<std::size_t>(i)].get();
-    }
-  }
-  if (!d) return;
-  // close() waits until no handler is running or queued, so the server
-  // the handlers capture outlives every dispatch.
-  d->front->close();
-  d->peer_front->close();
-}
-
-void TcpDeployment::retire(int i, ServerDoors& doors) {
-  server(i).metrics_registry().remove_collector(doors.collector);
-  doors.front->close();
-  doors.peer_front->close();
-}
-
-net::ReactorServerOptions TcpDeployment::front_options() const {
-  net::ReactorServerOptions o;
-  o.request_read_timeout_seconds = options_.request_read_timeout_seconds;
-  o.write_queue_cap_bytes = options_.write_queue_cap_bytes;
-  return o;
+core::Result<ServerAddress> TcpDeployment::open_door(net::ReactorServer& door,
+                                                     const ServerAddress&,
+                                                     const ServerAddress& at) {
+  if (auto st = door.listen(at.port); !st.is_ok()) return st;
+  return ServerAddress{"127.0.0.1", door.port()};
 }
 
 core::Result<net::StreamPtr> TcpDeployment::connect(
     const ServerAddress& addr) {
-  return net::TcpStream::connect(addr.host, addr.port, connect_options());
-}
-
-void TcpDeployment::stop() {
-  if (!master_front_) return;
-  // Unregister the stats collectors before their backing fronts die.
-  master().metrics_registry().remove_collector(master_collector_);
-  master_collector_ = 0;
-  master_front_->close();
-  std::vector<std::unique_ptr<ServerDoors>> doors;
-  {
-    std::lock_guard lk(doors_mu_);
-    doors.swap(doors_);
-  }
-  for (std::size_t i = 0; i < doors.size(); ++i) {
-    if (doors[i]) retire(static_cast<int>(i), *doors[i]);
-  }
-  doors.clear();
-  master_front_.reset();
-  reactors_.reset();
-  shutdown();
-}
-
-std::uint16_t TcpDeployment::master_port() const {
-  return master_front_ ? master_front_->port() : 0;
-}
-
-std::vector<net::ReactorStats> TcpDeployment::reactor_stats() const {
-  return reactors_ ? reactors_->stats() : std::vector<net::ReactorStats>{};
-}
-
-net::ReactorServerStats TcpDeployment::server_net_stats(int i) const {
-  std::lock_guard lk(doors_mu_);
-  if (i < 0 || static_cast<std::size_t>(i) >= doors_.size() ||
-      !doors_[static_cast<std::size_t>(i)]) {
-    return {};
-  }
-  return doors_[static_cast<std::size_t>(i)]->front->stats();
-}
-
-net::ReactorServerStats TcpDeployment::master_net_stats() const {
-  return master_front_ ? master_front_->stats() : net::ReactorServerStats{};
+  return net::TcpStream::connect(addr.host, addr.port,
+                                 net::ConnectOptions{kConnectTimeoutSeconds});
 }
 
 core::Result<DpssClient> TcpDeployment::make_client() {
-  if (!master_front_) {
-    if (auto st = start(); !st.is_ok()) return st;
-  }
-  const net::ConnectOptions copts = connect_options();
+  if (auto st = start(); !st.is_ok()) return st;
+  const net::ConnectOptions copts{kConnectTimeoutSeconds};
   auto master_stream =
       net::TcpStream::connect("127.0.0.1", master_port(), copts);
   if (!master_stream.is_ok()) return master_stream.status();

@@ -1,14 +1,19 @@
 // The DPSS deployment: master + block servers + clients, wired over a
 // transport.
 //
-// One Deployment owns the components and every operational lever; a
-// transport only opens a server's doors, closes them, and connects to an
-// address.  Two transports:
-//   * PipeDeployment -- everything in-process over in-memory pipes; used by
-//     unit/integration tests and the quickstart example.
-//   * TcpDeployment -- master and servers behind epoll front doors on real
-//     loopback TCP ports; used by the dpss_tool example, the benchmarks and
-//     the socket integration tests.
+// One Deployment owns the components, every operational lever, and every
+// way they are served: a shared pool of event loops, the master's front
+// door (net/reactor_server.h), and for each block server a client door on
+// its own worker pool and a peer door on an elastic pool.  A transport
+// differs only in how a door opens and how a stream reaches it.  Two
+// transports:
+//   * PipeDeployment -- everything in-process: doors take connections over
+//     socketpairs (ReactorServer::connect_local) and are reached by name;
+//     used by unit/integration tests, the quickstart example and
+//     archive_browser.
+//   * TcpDeployment -- doors listen on real loopback TCP ports; used by
+//     the dpss_tool example, the benchmarks and the socket integration
+//     tests.
 //
 // ingest() stripes a generated dataset across the block servers and
 // registers it with the master -- the reproduction of "migrate the files
@@ -64,9 +69,21 @@ struct TraceExport {
 // remote exporter's batch goes through).  Returns spans accepted.
 std::uint64_t export_spans_to_master(Master& master, TraceExport& e);
 
+// How a deployment serves its doors, on either transport.
+struct TcpDeploymentOptions {
+  // 0 -> one event loop per core (capped in ReactorPool).
+  int reactor_loops = 0;
+  // Handler offload threads per block server.  Block-server handlers may
+  // block (chain forwarding to peers), so they never run on the event
+  // loops; per-server pools keep an A->B forward from competing with B's
+  // own inbound work.  Modelled disk reads are not handler time: their
+  // replies wait on loop timers.
+  int worker_threads = 4;
+};
+
 class Deployment {
  public:
-  virtual ~Deployment() = default;
+  virtual ~Deployment();
 
   Master& master() { return master_; }
   BlockServer& server(int i) {
@@ -76,6 +93,8 @@ class Deployment {
   // Address clients dial for server `i` (the one the catalog lists);
   // empty until its doors have opened.
   ServerAddress server_address(int i) const;
+  // Address clients dial for the master; empty until its door has opened.
+  ServerAddress master_address() const;
 
   // Stripe `desc`'s timesteps into the store and register "<name>" with the
   // master.  The whole time series is one logical DPSS file; timestep t
@@ -96,9 +115,9 @@ class Deployment {
 
   // ---- failure scenarios ----
   // Stop serving from server `i`: its doors close, existing connections
-  // drop, new connects are refused.  The block store survives (a dead
-  // machine's disks are not wiped), so a later revive_server() or
-  // rebalance copy can read it.
+  // drop, new connects are refused, and the server drops its pooled peer
+  // links.  The block store survives (a dead machine's disks are not
+  // wiped), so a later revive_server() or rebalance copy can read it.
   void kill_server(int i);
   // Rejoin: reopen the doors at the same address and heartbeat the master
   // back to up.
@@ -134,53 +153,81 @@ class Deployment {
   // the caller's (see export_spans_to_master).
   std::uint64_t export_spans();
 
+  // ---- reactor introspection (empty / zero before the doors open) ----
+  // Per-loop event counts for the shared ReactorPool.
+  std::vector<net::ReactorStats> reactor_stats() const;
+  // Connection/request/timeout counters for server `i`'s client door and
+  // its peer door (chain forwards and parity deltas from other servers),
+  // and for the master's door.  A killed server's doors keep their counts
+  // until it is revived.
+  net::ReactorServerStats server_net_stats(int i) const;
+  net::ReactorServerStats server_peer_net_stats(int i) const;
+  net::ReactorServerStats master_net_stats() const;
+
+  // Open the event loops and the master's door, then the doors of every
+  // server that is neither serving nor killed.  Idempotent; ingest() calls
+  // it, since the catalog lists client addresses.
+  core::Status start();
+  // Close every door, waiting out their handlers, stop the event loops and
+  // shut the servers down (pooled peer links dropped, prefetch fills
+  // drained).  Idempotent.  A transport calls it before it is destroyed,
+  // since a running handler may still call connect().
+  void stop();
+
  protected:
   // `server_count` block servers, all with the same disk model and memory
   // tier configuration; `throttle` enables the disk service-time model.
-  // The transport opens their doors (open_all_doors()).
+  // Nothing is served until the doors open (start()).
   Deployment(int server_count, DiskModel disk, bool throttle,
-             ServerCacheConfig cache);
-
-  // Where a server is reached: clients dial `client`, the address the
-  // catalog lists; other servers dial `peer` for chain forwards and parity
-  // deltas.
-  struct Doors {
-    ServerAddress client;
-    ServerAddress peer;
-  };
+             ServerCacheConfig cache, TcpDeploymentOptions options);
 
   // ---- transport hooks ----
-  // Open server `i`'s doors.  `at` is where they listened last (empty the
-  // first time): a revive reopens the same addresses, so catalog entries
-  // and placement maps naming the server stay valid.
-  virtual core::Result<Doors> open_doors(int i, const Doors& at) = 0;
-  // Stop accepting on server `i`'s doors and drop their connections; waits
-  // until no handler of theirs is running.  Idempotent.
-  virtual void close_doors(int i) = 0;
-  // Open a stream to a server door.
+  // Open `door` to connections and return the address it is reached at.
+  // `name` labels the door (host "master", "server-3" or "server-3-peer";
+  // port the server's index), and `at` is where it listened last (empty
+  // the first time): a revive reopens the same address, so catalog
+  // entries and placement maps naming the server stay valid.
+  virtual core::Result<ServerAddress> open_door(net::ReactorServer& door,
+                                                const ServerAddress& name,
+                                                const ServerAddress& at) = 0;
+  // Open a stream to a door's address.
   virtual core::Result<net::StreamPtr> connect(const ServerAddress& addr) = 0;
 
-  // Open the doors of every server that is neither serving nor killed
-  // (ingest() calls it: the catalog lists client addresses).
-  core::Status open_all_doors();
-  // Shut the master and every server down: pipe service threads joined,
-  // pooled peer links dropped.  A transport calls it before it is
-  // destroyed, since a running service thread may still call connect().
-  void shutdown();
-  // The server whose client door is `addr`, if it is serving.
-  core::Result<BlockServer*> serving_server(const ServerAddress& addr) const;
+  // A socketpair connection to the door at `addr` (ReactorServer::
+  // connect_local): kNotFound for an unknown address, kUnavailable once
+  // the door has closed.
+  core::Result<net::StreamPtr> connect_local(const ServerAddress& addr);
 
  private:
   enum class State { kClosed, kServing, kKilled };
+  // Where a server is reached: clients dial `client`, the address the
+  // catalog lists; other servers dial `peer` for chain forwards and parity
+  // deltas.
+  struct Addresses {
+    ServerAddress client;
+    ServerAddress peer;
+  };
+  struct ServerDoors;
   struct Member {
+    explicit Member(std::unique_ptr<BlockServer> s) : server(std::move(s)) {}
     std::unique_ptr<BlockServer> server;
-    Doors doors;
+    Addresses addr;
     State state = State::kClosed;
+    // Null until the doors first open; kept after a kill so their counters
+    // stay readable, and replaced on revive.
+    std::shared_ptr<ServerDoors> doors;
   };
 
   std::unique_ptr<BlockServer> new_server(int i);
+  // The shared event loops and the master's door; no-op once up.
+  core::Status open_master_door();
   // Open server `i`'s doors where they listened last and mark it serving.
   core::Status open_member(int i);
+  // Unregister a server's stats collector and close both its doors.
+  void retire(int i, ServerDoors& doors);
+  // Server `i`'s doors; null for an index out of range or doors never
+  // opened.
+  std::shared_ptr<ServerDoors> doors_of(int i) const;
   // Any recorded server by client address, serving or not (rebalance and
   // fixup executors read a dead server's surviving store); null if none.
   BlockServer* server_for(const ServerAddress& addr);
@@ -197,6 +244,14 @@ class Deployment {
   DiskModel disk_;
   bool throttle_;
   ServerCacheConfig cache_config_;
+  TcpDeploymentOptions options_;
+  // Declared before every door: the loops outlive the doors built on them.
+  std::unique_ptr<net::ReactorPool> reactors_;
+  std::unique_ptr<net::ReactorServer> master_front_;
+  ServerAddress master_addr_;
+  // Collector registered into the master's metrics registry (reactor-pool
+  // and master door stats); removed before the door it reads dies.
+  std::uint64_t master_collector_ = 0;
   // Guards members_ against concurrent client connects and
   // kill/revive/add.  Never held while calling into the master or a
   // transport hook.
@@ -215,37 +270,16 @@ class PipeDeployment : public Deployment {
                           ServerCacheConfig cache = ServerCacheConfig());
   ~PipeDeployment() override;
 
-  // New client with pipes to master and servers.
+  // New client whose master and server connections are socketpairs into
+  // the doors.
   DpssClient make_client();
 
  private:
-  // A pipe server's doors are its serving state: connect() hands out a
-  // fresh pipe while the server is serving and refuses once it is killed.
-  core::Result<Doors> open_doors(int i, const Doors& at) override;
-  void close_doors(int) override {}
+  // A pipe door has no listener: it is reached by its name.
+  core::Result<ServerAddress> open_door(net::ReactorServer& door,
+                                        const ServerAddress& name,
+                                        const ServerAddress& at) override;
   core::Result<net::StreamPtr> connect(const ServerAddress& addr) override;
-};
-
-struct TcpDeploymentOptions {
-  // 0 -> one event loop per core (capped in ReactorPool).
-  int reactor_loops = 0;
-  // Handler offload threads per block server.  Block-server handlers may
-  // block (chain forwarding to peers), so they never run on the event
-  // loops; per-server pools keep an A->B forward from competing with B's
-  // own inbound work.  Modelled disk reads are not handler time: their
-  // replies wait on loop timers.
-  int worker_threads = 4;
-  // Outbound connects (clients and server-to-server peer links) fail with
-  // kDeadlineExceeded after this long instead of hanging on a dead or
-  // overloaded address; failover then tries the next replica.
-  double connect_timeout_seconds = 5.0;
-  // Per-request read deadline on server connections: once a request's
-  // first byte arrives the rest must follow within this window or the
-  // connection is shed and counted.  0 disables.
-  double request_read_timeout_seconds = 10.0;
-  // Back-pressure cap per connection: un-drained reply bytes beyond this
-  // close the connection.
-  std::size_t write_queue_cap_bytes = 4u << 20;
 };
 
 class TcpDeployment : public Deployment {
@@ -257,52 +291,17 @@ class TcpDeployment : public Deployment {
                 TcpDeploymentOptions options = {});
   ~TcpDeployment() override;
 
-  // Bring up the shared event loops and the master's door, then every
-  // server's doors.
-  core::Status start();
-  void stop();
-
-  std::uint16_t master_port() const;
-
-  // ---- reactor introspection (empty / zero before start) ----
-  // Per-loop event counts for the shared ReactorPool.
-  std::vector<net::ReactorStats> reactor_stats() const;
-  // Connection/request/timeout counters for server `i`'s front door.
-  net::ReactorServerStats server_net_stats(int i) const;
-  net::ReactorServerStats master_net_stats() const;
+  std::uint16_t master_port() const { return master_address().port; }
 
   // New client connected over loopback TCP.
   core::Result<DpssClient> make_client();
 
  private:
-  struct ServerDoors;
-
-  core::Result<Doors> open_doors(int i, const Doors& at) override;
-  void close_doors(int i) override;
+  // Listen on 127.0.0.1, at the port the door had before if any.
+  core::Result<ServerAddress> open_door(net::ReactorServer& door,
+                                        const ServerAddress& name,
+                                        const ServerAddress& at) override;
   core::Result<net::StreamPtr> connect(const ServerAddress& addr) override;
-
-  // The shared event loops and the master's front door; no-op once up.
-  core::Status open_master_door();
-  // Unregister a server's stats collector and close both its doors.
-  void retire(int i, ServerDoors& doors);
-  net::ConnectOptions connect_options() const {
-    return net::ConnectOptions{options_.connect_timeout_seconds};
-  }
-  // Timeout and back-pressure settings every front door shares.
-  net::ReactorServerOptions front_options() const;
-
-  TcpDeploymentOptions options_;
-  // Declaration order is teardown order in reverse: the loops must outlive
-  // every front door built on them.
-  std::unique_ptr<net::ReactorPool> reactors_;
-  std::unique_ptr<net::ReactorServer> master_front_;
-  // Collector registered into the master's metrics registry (reactor-pool
-  // and master front-door stats); removed before the front it reads dies.
-  std::uint64_t master_collector_ = 0;
-  // Server i's doors, kept after a kill so their counters stay readable;
-  // replaced on revive.  doors_mu_ guards the vector.
-  mutable std::mutex doors_mu_;
-  std::vector<std::unique_ptr<ServerDoors>> doors_;
 };
 
 // Shared ingest logic: place the dataset blocks onto the given servers

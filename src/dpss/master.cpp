@@ -59,8 +59,6 @@ Master::Master()
   });
 }
 
-Master::~Master() { shutdown(); }
-
 core::Status Master::register_dataset(const std::string& name,
                                       const DatasetLayout& layout,
                                       std::vector<ServerAddress> servers,
@@ -583,34 +581,6 @@ void Master::set_acl(std::set<std::string> allowed_tokens) {
   std::lock_guard lk(mu_);
   acl_ = std::move(allowed_tokens);
   acl_enabled_ = true;
-}
-
-void Master::serve(net::StreamPtr stream) {
-  std::lock_guard lk(mu_);
-  streams_.push_back(stream);
-  threads_.emplace_back([this, stream] { service_loop(stream); });
-}
-
-void Master::shutdown() {
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard lk(mu_);
-    for (auto& s : streams_) s->close();
-    streams_.clear();
-    threads.swap(threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void Master::service_loop(net::StreamPtr stream) {
-  for (;;) {
-    auto msg = net::recv_message(*stream);
-    if (!msg.is_ok()) return;  // peer closed
-    net::Message reply = handle_request(std::move(msg).take());
-    if (auto st = net::send_message(*stream, reply); !st.is_ok()) return;
-  }
 }
 
 net::Message Master::handle_request(net::Message&& msg) {

@@ -24,7 +24,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/status.h"
@@ -73,7 +72,6 @@ struct MetaConfig {
 class Master {
  public:
   Master();
-  ~Master();
 
   // ---- catalog ----
   // Register a dataset: its layout plus the addresses of the servers
@@ -190,13 +188,10 @@ class Master {
   void set_acl(std::set<std::string> allowed_tokens);
 
   // ---- service ----
-  // Blocking shim for in-memory pipes: one service thread per stream.  TCP
-  // deployments feed handle_request() from the reactor front door.
-  void serve(net::StreamPtr stream);
-  void shutdown();
-
-  // One request in, one reply out -- shared by the blocking service loop
-  // and the reactor-backed transport.  Thread-safe.
+  // One request in, one reply out: what the master's reactor door runs for
+  // each request (inline on its loops in a Deployment, on an elastic pool
+  // in a MetaCluster, whose members call each other from inside it).
+  // Thread-safe.
   net::Message handle_request(net::Message&& msg);
 
   // Per-request read timeouts the transport observed on master connections.
@@ -240,7 +235,6 @@ class Master {
   }
 
  private:
-  void service_loop(net::StreamPtr stream);
   // Push `entry` to every follower, resending the gap (or a snapshot)
   // when one lags.  Best effort: a dead follower is tolerated -- it
   // catches up on rejoin -- but failures count toward
@@ -283,8 +277,6 @@ class Master {
   // guarded by mu_.
   ingest::FixupQueue fixups_;
   std::function<core::Status(const ingest::FixupTask&)> fixup_executor_;
-  std::vector<std::thread> threads_;
-  std::vector<net::StreamPtr> streams_;
   // Metrics plane: registry_ precedes the instrument references it backs.
   obs::MetricsRegistry registry_;
   obs::Counter& opens_;

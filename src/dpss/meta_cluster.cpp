@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "net/stream.h"
-
 namespace visapult::dpss {
 
 MetaCluster::MetaCluster(std::uint32_t shards, std::uint32_t replicas)
@@ -15,6 +13,13 @@ MetaCluster::MetaCluster(std::uint32_t shards, std::uint32_t replicas)
     for (std::uint32_t k = 0; k < replicas_; ++k) {
       Member m;
       m.master = std::make_unique<Master>();
+      Master* master = m.master.get();
+      m.door = std::make_unique<net::ReactorServer>(
+          loops_,
+          [master](net::Message&& msg, std::uint64_t) {
+            return master->handle_request(std::move(msg));
+          },
+          net::ReactorServerOptions{}, &workers_);
       m.address = address(j, k);
       m.is_leader = (k == 0);
       members_[j].push_back(std::move(m));
@@ -44,8 +49,10 @@ MetaCluster::MetaCluster(std::uint32_t shards, std::uint32_t replicas)
 }
 
 MetaCluster::~MetaCluster() {
+  // Close every door before any master dies: a handler still running may
+  // be calling another member.
   for (auto& shard : members_) {
-    for (auto& member : shard) member.master->shutdown();
+    for (auto& member : shard) member.door->close();
   }
 }
 
@@ -120,41 +127,29 @@ core::Status MetaCluster::register_dataset(const std::string& name,
 
 Connector MetaCluster::connector() {
   return [this](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
-    Master* master = nullptr;
-    {
-      std::lock_guard lk(mu_);
-      for (auto& shard : members_) {
-        for (auto& member : shard) {
-          if (member.address == addr) {
-            if (member.killed) {
-              return core::unavailable("master killed: " + addr.host);
-            }
-            master = member.master.get();
-          }
-        }
+    std::lock_guard lk(mu_);
+    for (auto& shard : members_) {
+      for (auto& member : shard) {
+        // A killed member's door is closed and refuses (kUnavailable).
+        if (member.address == addr) return member.door->connect_local();
       }
     }
-    if (!master) {
-      return core::not_found("unknown master endpoint: " + addr.host);
-    }
-    auto [near_end, far_end] = net::make_pipe();
-    master->serve(far_end);
-    return near_end;
+    return core::not_found("unknown master endpoint: " + addr.host);
   };
 }
 
 void MetaCluster::kill(std::uint32_t shard, std::uint32_t replica) {
-  Master* master = nullptr;
+  net::ReactorServer* door = nullptr;
   {
     std::lock_guard lk(mu_);
     Member& member = at(shard, replica);
     if (member.killed) return;
     member.killed = true;
-    master = member.master.get();
+    door = member.door.get();
   }
-  // Outside the lock: shutdown joins service threads, and a thread mid
-  // request may be inside the connector (which takes mu_).
-  master->shutdown();
+  // Outside the lock: close() waits out the member's running handlers, and
+  // a handler mid request may be inside the connector (which takes mu_).
+  door->close();
 }
 
 bool MetaCluster::killed(std::uint32_t shard, std::uint32_t replica) const {

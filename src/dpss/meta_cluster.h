@@ -1,15 +1,20 @@
 // In-process sharded metadata cluster.
 //
-// Wires `shards x replicas` Masters into the full PR 9 topology over
-// in-memory pipes: each shard has one leader replicating its catalog log
-// to the shard's followers, every member knows every shard's current
-// leader (for open forwarding), and clients dial any member through
-// connector().  kill() makes a member refuse connections -- clients fail
-// over to the shard's survivors and report the death, and tick() runs the
+// Wires `shards x replicas` Masters into the full sharded topology: each
+// shard has one leader replicating its catalog log to the shard's
+// followers, every member knows every shard's current leader (for open
+// forwarding), and clients dial any member through connector().  Each
+// member is served through its own reactor door (net/reactor_server.h),
+// reached over socketpairs; the doors share one event loop and run their
+// handlers on one elastic pool, because a member calls other members from
+// inside a handler (forwarded opens, follower replication) and a handler
+// waiting on a member whose handler ran inline on the same loop would
+// never get its reply.  kill() closes a member's door -- clients fail over
+// to the shard's survivors and report the death, and tick() runs the
 // leader election off that HealthTracker evidence: the live member with
 // the highest log epoch promotes, the others re-point their forwarding
 // tables.  This is the harness the meta integration tests, the campaign
-// fault scenario, and bench_meta all drive.
+// fault scenario, bench_meta and dpss_tool meta all drive.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +24,12 @@
 #include <vector>
 
 #include "core/status.h"
+#include "core/thread_pool.h"
 #include "dpss/master.h"
 #include "dpss/protocol.h"
 #include "meta/shard_map.h"
+#include "net/reactor.h"
+#include "net/reactor_server.h"
 
 namespace visapult::dpss {
 
@@ -58,12 +66,14 @@ class MetaCluster {
                                 std::vector<ServerAddress> servers,
                                 const PlacementOptions& placement = {});
 
-  // Transport into the cluster: resolves any member's address, refusing
-  // killed members exactly like a dead machine would.  Used by clients,
-  // follower replication, and cross-shard open forwarding alike.
+  // Transport into the cluster: a socketpair into the door at any
+  // member's address, refused once the member is killed, exactly like a
+  // dead machine.  Used by clients, follower replication, and cross-shard
+  // open forwarding alike.
   Connector connector();
 
-  // Kill a member: existing service threads drop, new connects refuse.
+  // Kill a member: its door closes, dropping its connections and refusing
+  // new ones.
   void kill(std::uint32_t shard, std::uint32_t replica);
   bool killed(std::uint32_t shard, std::uint32_t replica) const;
 
@@ -81,6 +91,7 @@ class MetaCluster {
  private:
   struct Member {
     std::unique_ptr<Master> master;
+    std::unique_ptr<net::ReactorServer> door;
     ServerAddress address;
     bool killed = false;
     bool is_leader = false;
@@ -92,6 +103,9 @@ class MetaCluster {
   std::uint32_t shards_;
   std::uint32_t replicas_;
   meta::ShardMap shard_map_;
+  // Declared before members_: the loop and the pool outlive every door.
+  net::ReactorPool loops_{1};
+  core::ThreadPool workers_{2, /*elastic=*/true};
   mutable std::mutex mu_;  // guards killed/is_leader flags and topology
   std::vector<std::vector<Member>> members_;  // [shard][replica]
 };

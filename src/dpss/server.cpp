@@ -609,24 +609,8 @@ net::Message BlockServer::handle_parity_delta(ParityDeltaRequest&& req) {
   return encode(reply);
 }
 
-void BlockServer::serve(net::StreamPtr stream) {
-  std::lock_guard lk(mu_);
-  if (stopping_.load()) return;
-  streams_.push_back(stream);
-  threads_.emplace_back([this, stream] { service_loop(stream); });
-}
-
 void BlockServer::shutdown() {
-  stopping_.store(true);
-  std::vector<std::thread> threads;
   {
-    std::lock_guard lk(mu_);
-    for (auto& s : streams_) s->close();
-    streams_.clear();
-    threads.swap(threads_);
-  }
-  {
-    // Drop pooled peer links: a revived server re-establishes them lazily.
     std::lock_guard lk(peer_mu_);
     for (auto& [key, link] : peers_) {
       std::lock_guard plk(link->mu);
@@ -635,28 +619,7 @@ void BlockServer::shutdown() {
     }
     peers_.clear();
   }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
   if (prefetcher_) prefetcher_->drain();
-  stopping_.store(false);
-}
-
-void BlockServer::service_loop(net::StreamPtr stream) {
-  const std::uint64_t conn_id = allocate_conn_id();
-  for (;;) {
-    auto msg = net::recv_message(*stream);
-    if (!msg.is_ok()) return;  // peer closed
-    net::Message reply = handle_request(std::move(msg).take(), conn_id);
-    if (auto st = net::send_message(*stream, reply); !st.is_ok()) return;
-  }
-}
-
-net::Message BlockServer::handle_request(net::Message&& msg,
-                                         std::uint64_t conn_id) {
-  net::Reply reply = dispatch(std::move(msg), conn_id);
-  if (reply.delay_seconds > 0) clock_->sleep_for(reply.delay_seconds);
-  return std::move(reply.message);
 }
 
 net::Reply BlockServer::dispatch(net::Message&& msg, std::uint64_t conn_id) {

@@ -4,10 +4,9 @@
 // DPSS block servers, each with several disk controllers, and several disks
 // on each controller" (section 3.5).  A BlockServer stores logical blocks
 // for any number of datasets and services read/write requests through
-// dispatch(), which is thread-safe: the reactor front door runs the block
-// reads pipelined on one connection concurrently on a worker pool
-// (net/reactor_server.h), while the blocking serve() shim for in-memory
-// pipes runs one service thread per connection.
+// dispatch(), which is thread-safe: the deployment's reactor doors
+// (net/reactor_server.h), over TCP or over socketpairs, run the block
+// reads pipelined on one connection concurrently on a worker pool.
 //
 // The DiskModel captures the physical substrate we don't have: each server
 // owns `disks` independent spindles; a block read costs a seek plus
@@ -20,9 +19,8 @@
 // and nothing sleeps: a miss or a prefetch fill takes the earliest-free
 // spindle and its block is ready at max(now, free) + seek + transfer.
 // dispatch() returns the reply with the delay until that ready time, which
-// the reactor front door waits out on a loop timer; the blocking
-// handle_request() waits it out on the server clock.  The wait for a busy
-// spindle is reported as the request's queue time.
+// the reactor door waits out on a loop timer.  The wait for a busy spindle
+// is reported as the request's queue time.
 //
 // In front of the modelled disks sits the memory tier that makes the DPSS a
 // *cache* (the paper's own term for it): a cache::BlockCache services warm
@@ -58,7 +56,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -171,22 +168,17 @@ class BlockServer {
   }
 
   // ---- service ----
-  // Spawn a thread servicing requests on this connection until peer close.
-  void serve(net::StreamPtr stream);
-  // Stop all service threads (closes their streams).
+  // Drop the pooled peer links (a revived server re-establishes them
+  // lazily) and drain in-flight prefetch fills.  The deployment calls it
+  // once the server's doors have closed.
   void shutdown();
 
-  // One request in, one reply out -- the dispatch shared by the blocking
-  // service loop and the reactor-backed transport, so both behave
-  // identically by construction.  Never sleeps: the reply carries the
-  // delay until the modelled disk read it waits for completes (0 unless
-  // throttled).  `conn_id` identifies the client connection
-  // (allocate_conn_id()) for the per-connection stride detector.
-  // Thread-safe.
+  // One request in, one reply out: what the reactor doors run for each
+  // request.  Never sleeps: the reply carries the delay until the modelled
+  // disk read it waits for completes (0 unless throttled).  `conn_id`
+  // identifies the client connection (allocate_conn_id()) for the
+  // per-connection stride detector.  Thread-safe.
   net::Reply dispatch(net::Message&& msg, std::uint64_t conn_id);
-  // dispatch(), then wait out the reply's delay on the server clock: the
-  // blocking callers (the serve() shim and tests driving requests by hand).
-  net::Message handle_request(net::Message&& msg, std::uint64_t conn_id);
   // Connection ids for callers driving requests by hand.
   std::uint64_t allocate_conn_id() { return next_conn_id_.fetch_add(1) + 1; }
 
@@ -230,8 +222,8 @@ class BlockServer {
   // benches observe "warm reads bypass the disk" without wall-clock
   // timing.
   double modeled_disk_seconds() const;
-  // Clock the spindle schedule runs on and handle_request() waits on;
-  // tests inject a virtual clock.  Set before traffic starts.
+  // Clock the spindle schedule runs on; tests inject a virtual clock.  Set
+  // before traffic starts.
   void set_clock(core::Clock* clock) { clock_ = clock; }
 
  private:
@@ -240,8 +232,8 @@ class BlockServer {
     std::uint64_t generation = 0;
   };
   // One pooled connection per peer; its mutex serialises the pipelined
-  // request/reply pairs of concurrent service threads forwarding to the
-  // same peer.  Per-link utilization accounting (exchanges + payload
+  // request/reply pairs of concurrent handlers forwarding to the same
+  // peer.  Per-link utilization accounting (exchanges + payload
   // bytes both ways) rides under the same mutex and surfaces as labeled
   // dpss_util_peer_* samples at exposition time.
   struct PeerLink {
@@ -259,7 +251,6 @@ class BlockServer {
     bool joined = false;  // rides on a read of the block already under way
   };
 
-  void service_loop(net::StreamPtr stream);
   // A stored block's buffer and stamp, shared (kNotFound when absent).
   core::Result<Stored> find_stored(const std::string& dataset,
                                    std::uint64_t block) const;
@@ -297,7 +288,7 @@ class BlockServer {
       const std::string& dataset, std::uint64_t block, cache::BlockData data,
       std::uint64_t generation, bool bump,
       cache::BlockData* replaced = nullptr);
-  // Ingest handlers (service_loop dispatch).  `trace` is the incoming
+  // Ingest handlers, called from dispatch().  `trace` is the incoming
   // request's context: forwarded chain hops and parity deltas travel under
   // the same trace with fresh span ids.
   net::Message handle_ingest_write(IngestWriteRequest&& req,
@@ -329,8 +320,6 @@ class BlockServer {
   mutable std::mutex mu_;
   // dataset -> block -> stamped bytes
   std::map<std::string, std::map<std::uint64_t, Stored>> store_;
-  std::vector<std::thread> threads_;
-  std::vector<net::StreamPtr> streams_;
   // The metrics plane.  Instruments are cached references (stable for the
   // registry's lifetime) so the hot path never does a by-name lookup;
   // registry_ must precede them for initialization order.
@@ -353,7 +342,6 @@ class BlockServer {
   obs::Histogram& read_seconds_;
   obs::Histogram& write_seconds_;
   std::atomic<std::uint64_t> next_conn_id_{0};
-  std::atomic<bool> stopping_{false};
   Connector peer_connector_;
   std::mutex peer_mu_;
   std::map<std::string, std::shared_ptr<PeerLink>> peers_;

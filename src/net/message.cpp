@@ -32,12 +32,15 @@ core::Status send_message(ByteStream& stream, const Message& msg) {
 core::Status recv_growing(ByteStream& stream, std::uint64_t len,
                           std::vector<std::uint8_t>* out) {
   // The first chunk (up to 1 MiB) takes a 64 KiB block or a 256 KiB
-  // texture in one allocation; after it the held size doubles.
+  // texture in one allocation; after it the held size doubles.  Each step
+  // reserves exactly its size (a bare resize would let the vector double
+  // its capacity past `len`), so a frame lands in a buffer of its own size.
   constexpr std::uint64_t kFirstChunk = 1 << 20;
   std::uint64_t have = 0;
   out->clear();
   while (have < len) {
     const std::uint64_t next = std::min(len, std::max(kFirstChunk, 2 * have));
+    out->reserve(next);
     out->resize(next);
     if (auto st = stream.recv_all(out->data() + have, next - have);
         !st.is_ok()) {

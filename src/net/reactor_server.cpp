@@ -1,5 +1,6 @@
 #include "net/reactor_server.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <map>
 #include <mutex>
 
+#include "net/tcp.h"
 #include "obs/metrics.h"
 
 namespace visapult::net {
@@ -124,6 +126,7 @@ struct Conn : std::enable_shared_from_this<Conn> {
   }
 
   void start() {
+    if (closed) return;  // the server closed before the loop got here
     armed = Reactor::kReadable;
     auto self = shared_from_this();
     if (!loop->add_fd(fd, armed, [self](std::uint32_t ev) {
@@ -497,6 +500,31 @@ struct Conn : std::enable_shared_from_this<Conn> {
   }
 };
 
+namespace {
+
+// Hand a connected non-blocking socket, accepted or made by connect_local(),
+// to the next loop.  Once the server is closing it closes the socket and
+// returns false instead.
+bool adopt(const std::shared_ptr<ReactorServer::State>& state, int fd) {
+  Reactor& loop = state->pool.next();
+  std::shared_ptr<Conn> conn;
+  {
+    std::lock_guard lk(state->mu);
+    if (state->closing) {
+      ::close(fd);
+      return false;
+    }
+    const std::uint64_t id = ++state->next_conn_id;
+    conn = std::make_shared<Conn>(state, &loop, fd, id);
+    state->conns[id] = conn;
+    ++state->accepted;
+  }
+  loop.post([conn] { conn->start(); });
+  return true;
+}
+
+}  // namespace
+
 ReactorServer::ReactorServer(ReactorPool& pool, Handler handler,
                              ReactorServerOptions options,
                              core::ThreadPool* workers)
@@ -565,20 +593,7 @@ core::Status ReactorServer::listen(std::uint16_t port) {
             const int nodelay = 1;
             ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
                          sizeof nodelay);
-            Reactor& loop = state->pool.next();
-            std::shared_ptr<Conn> conn;
-            {
-              std::lock_guard lk(state->mu);
-              if (state->closing) {
-                ::close(cfd);
-                return;
-              }
-              const std::uint64_t id = ++state->next_conn_id;
-              conn = std::make_shared<Conn>(state, &loop, cfd, id);
-              state->conns[id] = conn;
-              ++state->accepted;
-            }
-            loop.post([conn] { conn->start(); });
+            if (!adopt(state, cfd)) return;
           }
         }));
   });
@@ -589,6 +604,20 @@ core::Status ReactorServer::listen(std::uint16_t port) {
   }
   listening_ = true;
   return core::Status::ok();
+}
+
+core::Result<StreamPtr> ReactorServer::connect_local() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return core::unavailable(std::string("socketpair: ") +
+                             std::strerror(errno));
+  }
+  ::fcntl(fds[0], F_SETFL, ::fcntl(fds[0], F_GETFL, 0) | O_NONBLOCK);
+  if (!adopt(state_, fds[0])) {
+    ::close(fds[1]);
+    return core::unavailable("door closed");
+  }
+  return StreamPtr(std::make_shared<TcpStream>(fds[1]));
 }
 
 void ReactorServer::close() {

@@ -1,9 +1,17 @@
-// Reactor-backed message server: the DPSS front door for massive fan-in.
+// Reactor-backed message server: the one way a DPSS master or block server
+// is served.
 //
-// Accepts loopback TCP connections on a non-blocking listener, deals them
-// round-robin across a ReactorPool's event loops, and speaks the framed
-// Message protocol (net/message.h) per connection with an explicit state
-// machine instead of a blocked thread:
+// Connections come in through one of two doors and are dealt round-robin
+// across a ReactorPool's event loops:
+//   * listen() accepts loopback TCP connections on a non-blocking listener
+//     (TcpDeployment, dpss_tool, the benchmarks);
+//   * connect_local() makes a connected socketpair, adopts one end exactly
+//     as it would an accepted socket, and hands the caller the other end
+//     (PipeDeployment, MetaCluster and the in-process test servers): no
+//     port, no listener, the same connection machinery.
+//
+// Each connection speaks the framed Message protocol (net/message.h) with
+// an explicit state machine instead of a blocked thread:
 //
 //   * reads are readiness-driven and parsed incrementally; a connection
 //     costs a buffer, not a thread stack;
@@ -30,11 +38,6 @@
 //     into a frame buffer;
 //   * a per-request read timeout (timer wheel) closes connections that
 //     stall mid-request, counted so server metrics can expose them.
-//
-// The blocking BlockServer::serve(StreamPtr)/Master::serve(StreamPtr) API
-// survives as a shim for in-memory pipe deployments; both paths feed the
-// same request dispatch, so behaviour is identical by construction (the
-// shim waits out a deferred reply on the server's clock instead).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +48,7 @@
 #include "core/thread_pool.h"
 #include "net/message.h"
 #include "net/reactor.h"
+#include "net/stream.h"
 
 namespace visapult::net {
 
@@ -132,10 +136,17 @@ class ReactorServer {
   core::Status listen(std::uint16_t port);
   std::uint16_t port() const { return port_; }
 
-  // Stop accepting, close every connection, and wait until no handler is
-  // running or queued -- after close() returns, objects the handler
-  // captured can be destroyed safely.  Idempotent.  Must not be called
-  // from a reactor loop thread.
+  // A new connection without a listener: this server adopts one end of a
+  // connected socketpair(AF_UNIX, SOCK_STREAM) as it would an accepted
+  // socket (minus TCP_NODELAY), and the caller gets the other end as a
+  // TcpStream.  Works with or without listen().  A closed server refuses
+  // with kUnavailable, as a killed machine does.  Thread-safe.
+  core::Result<StreamPtr> connect_local();
+
+  // Stop accepting, refuse connect_local(), close every connection, and
+  // wait until no handler is running or queued -- after close() returns,
+  // objects the handler captured can be destroyed safely.  Idempotent.
+  // Must not be called from a reactor loop thread.
   void close();
 
   ReactorServerStats stats() const;

@@ -14,26 +14,20 @@ ShapedStream::ShapedStream(StreamPtr inner, ShaperConfig config,
 
 void ShapedStream::throttle(std::size_t bytes) {
   if (config_.rate_bytes_per_sec <= 0.0) return;
-  std::unique_lock lk(mu_);
-  double need = static_cast<double>(bytes);
-  for (;;) {
+  double debt = 0.0;
+  {
+    std::lock_guard lk(mu_);
     const core::TimePoint now = clock_.now();
     tokens_ = std::min(static_cast<double>(config_.burst_bytes),
                        tokens_ + (now - last_refill_) * config_.rate_bytes_per_sec);
     last_refill_ = now;
-    // Accept an epsilon shortfall: the post-sleep refill is computed in
-    // floating point and can land a hair under `need`, and the residual
-    // wait can be too small to advance a double-valued clock at all --
-    // an exact `>=` here spins forever on a virtual clock.
-    if (tokens_ + 1e-6 >= need) {
-      tokens_ = std::max(0.0, tokens_ - need);
-      return;
-    }
-    const double wait = (need - tokens_) / config_.rate_bytes_per_sec;
-    lk.unlock();
-    clock_.sleep_for(wait);
-    lk.lock();
+    // Take the tokens at once and sleep out the debt.  A sender woken late
+    // finds the extra time in the bucket on its next send; waiting for the
+    // bucket to refill instead would lose every late wakeup.
+    tokens_ -= static_cast<double>(bytes);
+    debt = -tokens_;
   }
+  if (debt > 0) clock_.sleep_for(debt / config_.rate_bytes_per_sec);
 }
 
 core::Status ShapedStream::send_all(const std::uint8_t* data, std::size_t len) {

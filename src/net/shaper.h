@@ -30,7 +30,9 @@ class ShapedStream final : public ByteStream {
   void close() override;
 
  private:
-  // Blocks until `bytes` tokens are available, then consumes them.
+  // Takes `bytes` tokens and sleeps until the bucket is out of debt.
+  // Tokens refill at the rate up to burst_bytes and go negative while
+  // senders sleep out what they took.
   void throttle(std::size_t bytes);
 
   StreamPtr inner_;

@@ -2,6 +2,10 @@
 //
 // Used by the socket-backed DPSS deployment and the real-transport
 // integration tests.  IPv4 only; the reproduction always runs on 127.0.0.1.
+// A TcpStream wraps any connected stream socket, so it is also the
+// caller's end of a reactor door's local connection
+// (ReactorServer::connect_local, a socketpair), which is how pipe
+// deployments and the in-process meta clusters reach their servers.
 #pragma once
 
 #include <atomic>
@@ -21,7 +25,8 @@ struct ConnectOptions {
   double timeout_seconds = 0.0;
 };
 
-// Connected TCP socket.  Owns the fd.
+// Connected stream socket (TCP, or a local door's socketpair end).  Owns
+// the fd.
 class TcpStream final : public ByteStream {
  public:
   explicit TcpStream(int fd) : fd_(fd) {}
@@ -61,8 +66,9 @@ class TcpStream final : public ByteStream {
   std::atomic<double> recv_timeout_seconds_{0.0};
 };
 
-// Socket calls made by every TcpStream in this process, also exported as
-// the global registry's net_tcp_* counters: one relaxed add per call.
+// Socket calls made by every TcpStream in this process, local door ends
+// included, also exported as the global registry's net_tcp_* counters: one
+// relaxed add per call.
 struct TcpCallCounts {
   std::uint64_t send_calls = 0;   // send() and sendmsg()
   std::uint64_t recv_calls = 0;   // recv()

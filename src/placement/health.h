@@ -21,8 +21,8 @@
 // replicas least-loaded-first.
 //
 // Thread safety: all methods lock an internal mutex; heartbeat, failure
-// reports, and lookups arrive concurrently from the master's per-connection
-// service threads.
+// reports, and lookups arrive concurrently from the master's door, whose
+// handlers run on several event loops or pool workers.
 #pragma once
 
 #include <cstdint>

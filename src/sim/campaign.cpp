@@ -8,6 +8,7 @@
 #include "core/units.h"
 #include "dpss/client.h"
 #include "dpss/meta_cluster.h"
+#include "net/reactor_server.h"
 #include "obs/alert.h"
 #include "vol/decompose.h"
 
@@ -422,12 +423,17 @@ void CampaignRun::run_meta_scenario() {
   assert(registered.is_ok());
   (void)registered;
 
+  // The store serves through its own door; its handler only reads blocks,
+  // so it runs inline on the door's loop.
+  net::ReactorPool store_loop(1);
+  net::ReactorServer store_door(
+      store_loop, [&store](net::Message&& msg, std::uint64_t conn_id) {
+        return store.dispatch(std::move(msg), conn_id);
+      });
   dpss::Connector data_connector =
-      [&store](const dpss::ServerAddress&) -> core::Result<net::StreamPtr> {
-    auto [client_end, server_end] = net::make_pipe();
-    store.serve(server_end);
-    return client_end;
-  };
+      [&store_door](const dpss::ServerAddress&) {
+        return store_door.connect_local();
+      };
   const std::uint32_t owner = cluster.shard_map().shard_for(name);
   auto master_stream = cluster.connector()(cluster.address(owner, 0));
   assert(master_stream.is_ok());

@@ -55,8 +55,8 @@ TEST(AppFailure, ServerShutdownMidStreamErrorsNotHangs) {
 
   // Kill the block servers; the next read must fail with a transport
   // error, promptly.
-  deployment->server(0).shutdown();
-  deployment->server(1).shutdown();
+  deployment->kill_server(0);
+  deployment->kill_server(1);
   auto n = file.value()->pread(buf.data(), buf.size(), 0);
   EXPECT_FALSE(n.is_ok());
 }

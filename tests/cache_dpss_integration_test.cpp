@@ -120,8 +120,15 @@ TEST(ServerCacheTest, ThrottledWarmReadsDoNotSleep) {
   }
   server.drop_cache();
 
-  auto [client_end, server_end] = net::make_pipe();
-  server.serve(server_end);
+  // The door waits out each reply's modelled read on the virtual clock, as
+  // a blocking caller does, so the charge is observable without wall time.
+  test_support::LocalDoor door(
+      [&](net::Message&& msg, std::uint64_t conn_id) {
+        net::Reply reply = server.dispatch(std::move(msg), conn_id);
+        vclock.sleep_for(reply.delay_seconds);
+        return std::move(reply.message);
+      });
+  auto client_end = door.connect().take();
   auto read_block = [&](std::uint64_t b) {
     BlockReadRequest req;
     req.dataset = ds;
@@ -166,8 +173,11 @@ TEST(ServerCacheTest, PrefetchWarmsSequentialRun) {
   }
   server.drop_cache();
 
-  auto [client_end, server_end] = net::make_pipe();
-  server.serve(server_end);
+  test_support::LocalDoor door(
+      [&server](net::Message&& msg, std::uint64_t conn_id) {
+        return server.dispatch(std::move(msg), conn_id);
+      });
+  auto client_end = door.connect().take();
   for (std::uint64_t b = 0; b < kBlocks; ++b) {
     BlockReadRequest req;
     req.dataset = ds;

@@ -440,7 +440,7 @@ TEST(ProtocolFuzz, MasterAndServerAnswerEveryMutatedRequest) {
         try {
           EXPECT_TRUE(well_formed(master.handle_request(net::Message(bad))));
           EXPECT_TRUE(
-              well_formed(server.handle_request(net::Message(bad), 1)));
+              well_formed(server.dispatch(net::Message(bad), 1).message));
         } catch (const std::exception& e) {
           ADD_FAILURE() << "handler threw: " << e.what();
         }

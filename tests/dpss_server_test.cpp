@@ -46,6 +46,13 @@ net::Message read_request(std::uint64_t block) {
   return encode(BlockReadRequest{"ds", block, {}});
 }
 
+// The reactor door's handler for `server`.
+net::ReactorServer::Handler serving(BlockServer& server) {
+  return [&server](net::Message&& msg, std::uint64_t conn_id) {
+    return server.dispatch(std::move(msg), conn_id);
+  };
+}
+
 std::uint8_t first_byte(const net::Message& reply) {
   auto decoded = decode<BlockReadReply>(reply);
   if (!decoded.is_ok() || decoded.value().data.empty()) return 0;
@@ -91,8 +98,8 @@ TEST(BlockServer, MissingBlockIsNotFound) {
 TEST(BlockServer, ServesReadsOverStream) {
   BlockServer server("s0");
   server.put_block("ds", 7, {4, 5, 6});
-  auto [client, server_end] = net::make_pipe();
-  server.serve(server_end);
+  test_support::LocalDoor door(serving(server));
+  auto client = door.connect().take();
 
   BlockReadRequest req{"ds", 7, {}};
   ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
@@ -109,8 +116,8 @@ TEST(BlockServer, ServesReadsOverStream) {
 
 TEST(BlockServer, ServesWritesOverStream) {
   BlockServer server("s0");
-  auto [client, server_end] = net::make_pipe();
-  server.serve(server_end);
+  test_support::LocalDoor door(serving(server));
+  auto client = door.connect().take();
 
   BlockWriteRequest req;
   req.dataset = "ds";
@@ -129,8 +136,8 @@ TEST(BlockServer, ServesWritesOverStream) {
 
 TEST(BlockServer, UnknownRequestGetsErrorReply) {
   BlockServer server("s0");
-  auto [client, server_end] = net::make_pipe();
-  server.serve(server_end);
+  test_support::LocalDoor door(serving(server));
+  auto client = door.connect().take();
   net::Message bogus;
   bogus.type = 0xdead;
   ASSERT_TRUE(net::send_message(*client, bogus).is_ok());
@@ -143,8 +150,8 @@ TEST(BlockServer, UnknownRequestGetsErrorReply) {
 
 TEST(BlockServer, MissingBlockReadYieldsErrorReplyNotDisconnect) {
   BlockServer server("s0");
-  auto [client, server_end] = net::make_pipe();
-  server.serve(server_end);
+  test_support::LocalDoor door(serving(server));
+  auto client = door.connect().take();
   BlockReadRequest req{"nope", 0, {}};
   ASSERT_TRUE(net::send_message(*client, encode(req)).is_ok());
   auto msg = net::recv_message(*client);
@@ -166,10 +173,10 @@ TEST(BlockServer, ConcurrentConnections) {
     server.put_block("ds", b, std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(b)));
   }
   constexpr int kClients = 8;
+  test_support::LocalDoor door(serving(server));
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
-    auto [client, server_end] = net::make_pipe();
-    server.serve(server_end);
+    auto client = door.connect().take();
     threads.emplace_back([client = client] {
       for (std::uint64_t b = 0; b < 32; ++b) {
         BlockReadRequest req{"ds", b, {}};
@@ -299,28 +306,6 @@ TEST(SpindleSchedule, UnthrottledServerNeverDefers) {
   EXPECT_NEAR(server.modeled_disk_seconds(), 8 * b, 1e-4);
 }
 
-TEST(SpindleSchedule, BlockingCallerWaitsOutTheDelayOnTheServerClock) {
-  test_support::RecordingVirtualClock clock;
-  const DiskModel disk;
-  BlockServer server("s0", disk, /*throttle=*/true, no_prefetch());
-  server.set_clock(&clock);
-  store_cold_blocks(server);
-  const double b = disk.block_service_seconds(kBlockBytes);
-
-  EXPECT_EQ(first_byte(server.handle_request(read_request(2),
-                                             server.allocate_conn_id())),
-            3);
-  EXPECT_NEAR(clock.total_slept(), b, 1e-12);
-}
-
-TEST(BlockServer, ShutdownUnblocksServiceThreads) {
-  BlockServer server("s0");
-  auto [client, server_end] = net::make_pipe();
-  server.serve(server_end);
-  server.shutdown();  // must not hang
-  SUCCEED();
-}
-
 // ---- one buffer per stored block ----
 
 std::uint64_t counter(BlockServer& server, const char* name) {
@@ -339,7 +324,7 @@ TEST(SharedBlocks, HeldTierBufferKeepsItsBytesAcrossAnOverwrite) {
   // The store, the tier (write-through) and this reader.
   EXPECT_EQ(held.use_count(), 3);
   const auto conn = server.allocate_conn_id();
-  EXPECT_EQ(first_byte(server.handle_request(read_request(0), conn)), 0x11);
+  EXPECT_EQ(first_byte(server.dispatch(read_request(0), conn).message), 0x11);
   EXPECT_EQ(server.cache_metrics().hits, 1u);
 
   IngestWriteRequest write;
@@ -347,13 +332,13 @@ TEST(SharedBlocks, HeldTierBufferKeepsItsBytesAcrossAnOverwrite) {
   write.block = 0;
   write.data.assign(kBlockBytes, 0x22);
   auto ack = decode<IngestWriteReply>(
-      server.handle_request(encode(write), conn));
+      server.dispatch(encode(write), conn).message);
   ASSERT_TRUE(ack.is_ok()) << ack.status().to_string();
   EXPECT_EQ(ack.value().generation, 1u);
 
   EXPECT_EQ(*held, std::vector<std::uint8_t>(kBlockBytes, 0x11));
   EXPECT_EQ(held.use_count(), 1);  // the store and the tier moved on
-  EXPECT_EQ(first_byte(server.handle_request(read_request(0), conn)), 0x22);
+  EXPECT_EQ(first_byte(server.dispatch(read_request(0), conn).message), 0x22);
   EXPECT_EQ(server.cache_metrics().hits, 2u);
   EXPECT_EQ(server.shared_block("ds", 0).value().use_count(), 3);
 
@@ -388,7 +373,7 @@ TEST(SharedBlocks, ParityDeltaBaseSurvivesConcurrentDeltas) {
     const auto conn = server.allocate_conn_id();
     while (!done.load()) {
       auto r = decode<BlockReadReply>(
-          server.handle_request(encode(BlockReadRequest{"p", 0, {}}), conn));
+          server.dispatch(encode(BlockReadRequest{"p", 0, {}}), conn).message);
       // Every delta is one byte value throughout, so every generation is
       // uniform; a torn one is not.
       if (!r.is_ok() || r.value().data.size() != kBytes ||
@@ -412,7 +397,8 @@ TEST(SharedBlocks, ParityDeltaBaseSurvivesConcurrentDeltas) {
         pd.block = 0;
         pd.coefficient = coefficient;
         pd.delta.assign(kBytes, value);
-        if (!decode<ParityDeltaReply>(server.handle_request(encode(pd), conn))
+        if (!decode<ParityDeltaReply>(
+                 server.dispatch(encode(pd), conn).message)
                  .is_ok()) {
           bad.fetch_add(1);
         }

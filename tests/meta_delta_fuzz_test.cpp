@@ -19,6 +19,7 @@
 #include "meta/catalog.h"
 #include "meta/log.h"
 #include "net/stream.h"
+#include "support/test_support.h"
 
 namespace visapult::dpss {
 namespace {
@@ -126,11 +127,11 @@ TEST(MetaDeltaFuzz, ReplayedDeltasMatchFreshSnapshotByteForByte) {
 TEST(MetaDeltaFuzz, WireSyncShardConvergesThroughWindowOverrun) {
   core::Rng rng(7);
   Master master;
-  Connector connector =
-      [&master](const ServerAddress&) -> core::Result<net::StreamPtr> {
-    auto [client_end, server_end] = net::make_pipe();
-    master.serve(server_end);
-    return client_end;
+  test_support::LocalDoor door([&master](net::Message&& msg, std::uint64_t) {
+    return master.handle_request(std::move(msg));
+  });
+  Connector connector = [&door](const ServerAddress&) {
+    return door.connect();
   };
   auto master_stream = connector(ServerAddress{"master", 0});
   ASSERT_TRUE(master_stream.is_ok());

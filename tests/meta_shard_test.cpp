@@ -18,6 +18,7 @@
 #include "net/message.h"
 #include "net/stream.h"
 #include "placement/health.h"
+#include "support/test_support.h"
 
 namespace visapult::dpss {
 namespace {
@@ -36,6 +37,10 @@ DatasetLayout small_layout(std::uint32_t servers) {
 struct Store {
   BlockServer server{"meta-test-store"};
   ServerAddress address{"meta-test-store", 0};
+  test_support::LocalDoor door{
+      [this](net::Message&& msg, std::uint64_t conn_id) {
+        return server.dispatch(std::move(msg), conn_id);
+      }};
 
   void fill(const std::string& dataset, const DatasetLayout& layout,
             std::uint64_t generation = 0) {
@@ -53,11 +58,7 @@ struct Store {
   }
 
   Connector connector() {
-    return [this](const ServerAddress&) -> core::Result<net::StreamPtr> {
-      auto [client_end, server_end] = net::make_pipe();
-      server.serve(server_end);
-      return client_end;
-    };
+    return [this](const ServerAddress&) { return door.connect(); };
   }
 };
 

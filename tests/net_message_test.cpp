@@ -106,6 +106,20 @@ TEST(Message, ClaimedLengthIsNotAllocatedUpFront) {
   EXPECT_LT(peak_rss_bytes() - before, std::size_t{64} << 20);
 }
 
+// A frame just past the first 1 MiB receive chunk lands in a buffer of its
+// own size, not in one the vector doubled to 2 MiB.
+TEST(Message, FrameOverTheFirstChunkLandsInAnExactBuffer) {
+  auto [a, b] = make_pipe(4u << 20);
+  Message msg;
+  msg.type = 9;
+  msg.payload.assign((1u << 20) + 100, 0x3C);
+  ASSERT_TRUE(send_message(*a, msg).is_ok());
+  auto got = recv_message(*b);
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value().payload, msg.payload);
+  EXPECT_EQ(got.value().payload.capacity(), got.value().payload.size());
+}
+
 TEST(Message, SequentialMessagesStayFramed) {
   auto [a, b] = make_pipe();
   for (std::uint32_t i = 0; i < 10; ++i) {

@@ -1,7 +1,7 @@
 // Reactor net layer: timer-wheel semantics, readiness dispatch, and the
 // ReactorServer connection state machine (the per-connection dispatch
 // window with in-order replies, back-pressure, per-request read timeouts,
-// and equivalence with the blocking shim).
+// and local doors).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "dpss/protocol.h"
-#include "dpss/server.h"
 #include "net/message.h"
 #include "net/reactor.h"
 #include "net/reactor_server.h"
@@ -439,55 +437,35 @@ TEST(ReactorServer, MalformedMagicClosesConnection) {
   server.close();
 }
 
-// The blocking serve(StreamPtr) shim and the reactor front door feed the
-// same BlockServer::handle_request, so a given request must produce
-// byte-identical replies on both paths.
-TEST(ReactorServer, ShimAndReactorServeIdenticalBlockReads) {
-  dpss::ServerCacheConfig no_cache;
-  no_cache.enabled = false;
-  dpss::BlockServer srv("equivalence", dpss::DiskModel{}, /*throttle=*/false,
-                        no_cache);
-  std::vector<std::uint8_t> block(4096);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    block[i] = static_cast<std::uint8_t>(i * 13 + 1);
-  }
-  ASSERT_TRUE(srv.put_block("ds", 0, block).is_ok());
-
-  dpss::BlockReadRequest req;
-  req.dataset = "ds";
-  req.block = 0;
-  const Message wire_req = dpss::encode(req);
-
-  // Path 1: blocking shim over an in-memory pipe.
-  auto [client_end, server_end] = make_pipe();
-  srv.serve(server_end);
-  ASSERT_TRUE(send_message(*client_end, wire_req).is_ok());
-  auto shim_reply = recv_message(*client_end);
-  ASSERT_TRUE(shim_reply.is_ok());
-  client_end->close();
-
-  // Path 2: reactor front door over TCP.
+// A local door: no listener, the same connection machinery.  Requests on
+// one socketpair connection come back in order, every connection counts
+// as accepted, and once the server closes its live connection drops and
+// a new one is refused.
+TEST(ReactorServer, LocalDoorServesWithoutAListenerAndRefusesOnceClosed) {
   ReactorPool pool(2);
-  core::ThreadPool workers(2);
-  ReactorServer front(
-      pool,
-      [&srv](Message&& m, std::uint64_t conn_id) {
-        return srv.handle_request(std::move(m), conn_id);
-      },
-      ReactorServerOptions{}, &workers);
-  ASSERT_TRUE(front.listen(0).is_ok());
-  auto tcp_client = TcpStream::connect("127.0.0.1", front.port());
-  ASSERT_TRUE(tcp_client.is_ok());
-  ASSERT_TRUE(send_message(*tcp_client.value(), wire_req).is_ok());
-  auto reactor_reply = recv_message(*tcp_client.value());
-  ASSERT_TRUE(reactor_reply.is_ok());
-  front.close();
+  ReactorServer server(pool, [](Message&& m, std::uint64_t) { return m; });
+  auto first = server.connect_local();
+  auto second = server.connect_local();
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  ASSERT_TRUE(second.is_ok()) << second.status().to_string();
+  constexpr std::uint32_t kN = 16;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(send_message(*first.value(), seq_message(i)).is_ok());
+  }
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    auto reply = recv_message(*first.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  EXPECT_EQ(server.port(), 0u);
+  EXPECT_EQ(server.stats().accepted, 2u);
+  EXPECT_EQ(server.stats().requests, kN);
 
-  EXPECT_EQ(shim_reply.value().type, reactor_reply.value().type);
-  EXPECT_EQ(shim_reply.value().payload, reactor_reply.value().payload);
-  auto decoded = dpss::decode<dpss::BlockReadReply>(reactor_reply.value());
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value().data, block);
+  server.close();
+  EXPECT_FALSE(recv_message(*second.value()).is_ok());
+  auto refused = server.connect_local();
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), core::StatusCode::kUnavailable);
 }
 
 TEST(ReactorServer, CloseDrainsInFlightHandlers) {

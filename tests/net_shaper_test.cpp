@@ -61,6 +61,47 @@ TEST(Shaper, SustainedRateMatchesTokenBucketMath) {
   EXPECT_NEAR(clock.total_slept(), expected, 1e-6);
 }
 
+// Virtual time whose every sleep overruns by `late` seconds: a host that
+// wakes sleepers late (scheduler latency, CPU steal).
+class LateClock final : public core::Clock {
+ public:
+  explicit LateClock(double late) : late_(late) {}
+  core::TimePoint now() const override { return clock_.now(); }
+  void sleep_for(double seconds) override {
+    clock_.sleep_for(seconds + late_);
+  }
+
+ private:
+  double late_;
+  core::VirtualClock clock_;
+};
+
+// Frames of a 32-byte header and a one-burst payload through a gigabit
+// link on a host that wakes every sleeper 50 us late.  The time a sender
+// oversleeps stays in the bucket, so the whole run costs the paced time
+// plus one late wakeup, not one per frame.
+TEST(Shaper, LateWakeupsLoseNoLinkTime) {
+  constexpr double kLate = 50e-6;
+  constexpr int kFrames = 32;
+  LateClock clock(kLate);
+  auto [a, b] = make_pipe();
+  ShaperConfig cfg;
+  cfg.rate_bytes_per_sec = 125e6;
+  ShapedStream shaped(a, cfg, clock);
+  const auto header = pattern(32);
+  const auto payload = pattern(cfg.burst_bytes);
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(shaped.send_bytes(header).is_ok());
+    ASSERT_TRUE(shaped.send_bytes(payload).is_ok());
+    ASSERT_TRUE(b->recv_bytes(header.size() + payload.size()).is_ok());
+  }
+  const double total = kFrames * static_cast<double>(header.size() +
+                                                      payload.size());
+  const double paced = (total - cfg.burst_bytes) / cfg.rate_bytes_per_sec;
+  EXPECT_GE(clock.now(), paced - 1e-9);
+  EXPECT_LE(clock.now(), paced + kLate + 1e-9);
+}
+
 TEST(Shaper, LatencyAppliedOncePerSendCall) {
   test_support::RecordingVirtualClock clock;
   auto [a, b] = make_pipe();

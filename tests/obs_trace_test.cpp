@@ -228,7 +228,7 @@ TEST(ObsTrace, ServerJoinedAfterCollectionStartsExportsItsSpans) {
   msg.trace_id = obs::new_trace_id();
   msg.span_id = obs::new_span_id();
   const net::Message reply =
-      server.handle_request(std::move(msg), server.allocate_conn_id());
+      server.dispatch(std::move(msg), server.allocate_conn_id()).message;
   ASSERT_EQ(reply.type, kBlockReadReply);
 
   EXPECT_GT(deployment.export_spans(), 0u);

@@ -1,6 +1,6 @@
 // Shared test helpers that keep the suite deterministic under `ctest -j`.
 //
-// Four facilities, matching the flake classes the seed suite exhibits:
+// Five facilities, four matching the flake classes the seed suite exhibits:
 //   * deterministic_seed()     -- per-test RNG seeds that are stable across
 //                                 runs but distinct across tests, so two
 //                                 tests never share a stream by accident.
@@ -11,6 +11,9 @@
 //                                 exit, safe for parallel test processes.
 //   * RecordingVirtualClock /  -- virtual-time helpers so rate/timing
 //     wait_until()                assertions never depend on wall time.
+//   * LocalDoor                -- serves one handler through a reactor door
+//                                 reached over socketpairs, as deployments
+//                                 serve their masters and block servers.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,9 @@
 #include <string>
 
 #include "core/clock.h"
+#include "core/thread_pool.h"
+#include "net/reactor.h"
+#include "net/reactor_server.h"
 
 namespace visapult::test_support {
 
@@ -90,6 +96,25 @@ class RecordingVirtualClock final : public core::Clock {
   core::VirtualClock clock_;
   mutable std::mutex mu_;
   double total_slept_ = 0.0;
+};
+
+// Serves `handler` the way a deployment serves its servers: a
+// ReactorServer on its own event loop with its handlers on a small worker
+// pool, and connect() hands out a socketpair connection to it
+// (ReactorServer::connect_local) -- no port, no listener.  Declare it after
+// whatever the handler captures, so the door closes first.
+class LocalDoor {
+ public:
+  explicit LocalDoor(net::ReactorServer::Handler handler)
+      : door_(loop_, std::move(handler), net::ReactorServerOptions{},
+              &workers_) {}
+
+  core::Result<net::StreamPtr> connect() { return door_.connect_local(); }
+
+ private:
+  net::ReactorPool loop_{1};
+  core::ThreadPool workers_{2};
+  net::ReactorServer door_;
 };
 
 }  // namespace visapult::test_support
