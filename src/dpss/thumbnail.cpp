@@ -86,24 +86,25 @@ core::Status generate_thumbnails(Master& master,
                                  const ThumbnailOptions& options) {
   if (servers.empty()) return core::invalid_argument("no servers");
 
-  // Probe one timestep to fix the thumbnail geometry.
-  const vol::Volume probe = downsample(desc.generate(0), options.downsample);
+  // Timestep 0 fixes the thumbnail geometry, and its record is the first
+  // one stored.
+  vol::Volume small = downsample(desc.generate(0), options.downsample);
   vol::Axis ua, va;
   render::image_axes_for(options.axis, ua, va);
   const float scale = std::min(
       1.0f, static_cast<float>(options.size) /
-                static_cast<float>(std::max(probe.dims().extent(ua),
-                                            probe.dims().extent(va))));
+                static_cast<float>(std::max(small.dims().extent(ua),
+                                            small.dims().extent(va))));
   render::RenderOptions ropts;
   ropts.resolution_scale = scale;
 
-  vol::Brick full;
-  full.dims = probe.dims();
-  auto probe_img = render::render_brick_along_axis(probe, full, options.axis,
-                                                   tf, ropts);
-  if (!probe_img.is_ok()) return probe_img.status();
-  const std::size_t record_bytes = thumbnail_record_bytes(
-      probe_img.value().width(), probe_img.value().height());
+  vol::Brick brick;
+  brick.dims = small.dims();
+  auto img = render::render_brick_along_axis(small, brick, options.axis, tf,
+                                             ropts);
+  if (!img.is_ok()) return img.status();
+  const std::size_t record_bytes =
+      thumbnail_record_bytes(img.value().width(), img.value().height());
 
   DatasetLayout layout;
   layout.total_bytes = record_bytes * static_cast<std::uint64_t>(desc.timesteps);
@@ -113,12 +114,12 @@ core::Status generate_thumbnails(Master& master,
   const std::string name = thumbnail_dataset_name(desc.name);
 
   for (int t = 0; t < desc.timesteps; ++t) {
-    const vol::Volume small = downsample(desc.generate(t), options.downsample);
-    vol::Brick brick;
-    brick.dims = small.dims();
-    auto img = render::render_brick_along_axis(small, brick, options.axis, tf,
-                                               ropts);
-    if (!img.is_ok()) return img.status();
+    if (t > 0) {
+      small = downsample(desc.generate(t), options.downsample);
+      img = render::render_brick_along_axis(small, brick, options.axis, tf,
+                                            ropts);
+      if (!img.is_ok()) return img.status();
+    }
 
     ThumbnailRecord record;
     record.timestep = t;

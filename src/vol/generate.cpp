@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <thread>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 
 namespace visapult::vol {
 
@@ -29,22 +32,84 @@ float value_noise(std::uint64_t seed, int x, int y, int z) {
   return static_cast<float>(h >> 11) * 0x1.0p-53f;
 }
 
-// Trilinear-interpolated lattice noise at period `cell`.
-float smooth_noise(std::uint64_t seed, float x, float y, float z, float cell) {
-  const float fx = x / cell, fy = y / cell, fz = z / cell;
-  const int x0 = static_cast<int>(std::floor(fx));
-  const int y0 = static_cast<int>(std::floor(fy));
-  const int z0 = static_cast<int>(std::floor(fz));
-  const float tx = fx - x0, ty = fy - y0, tz = fz - z0;
-  auto lerp = [](float a, float b, float t) { return a + (b - a) * t; };
-  auto s = [&](int dx, int dy, int dz) {
-    return value_noise(seed, x0 + dx, y0 + dy, z0 + dz);
+// Trilinear-interpolated lattice noise at period `cell`, sampled at the
+// integer coordinates of a grid one row at a time.  The lattice cell and
+// the fraction into it are tabulated per axis, and each cell's 8 corners
+// are hashed once per row instead of once per voxel.
+class LatticeNoise {
+ public:
+  LatticeNoise(std::uint64_t seed, Dims dims, float cell)
+      : seed_(seed),
+        x_(axis(dims.nx, cell)),
+        y_(axis(dims.ny, cell)),
+        z_(axis(dims.nz, cell)) {}
+
+  // out[x] = noise at (x, y, z) for every x of the row.
+  void sample_row(int y, int z, float* out) const {
+    auto lerp = [](float a, float b, float t) { return a + (b - a) * t; };
+    const int y0 = y_[y].cell, z0 = z_[z].cell;
+    const float ty = y_[y].frac, tz = z_[z].frac;
+    const int nx = static_cast<int>(x_.size());
+    for (int x = 0; x < nx;) {
+      const int x0 = x_[x].cell;
+      auto s = [&](int dx, int dy, int dz) {
+        return value_noise(seed_, x0 + dx, y0 + dy, z0 + dz);
+      };
+      const float s000 = s(0, 0, 0), s100 = s(1, 0, 0);
+      const float s010 = s(0, 1, 0), s110 = s(1, 1, 0);
+      const float s001 = s(0, 0, 1), s101 = s(1, 0, 1);
+      const float s011 = s(0, 1, 1), s111 = s(1, 1, 1);
+      for (; x < nx && x_[x].cell == x0; ++x) {
+        const float tx = x_[x].frac;
+        const float c00 = lerp(s000, s100, tx);
+        const float c10 = lerp(s010, s110, tx);
+        const float c01 = lerp(s001, s101, tx);
+        const float c11 = lerp(s011, s111, tx);
+        out[x] = lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
+      }
+    }
+  }
+
+ private:
+  struct Coord {
+    int cell;    // lattice index below the coordinate
+    float frac;  // position inside that lattice cell, [0, 1)
   };
-  const float c00 = lerp(s(0, 0, 0), s(1, 0, 0), tx);
-  const float c10 = lerp(s(0, 1, 0), s(1, 1, 0), tx);
-  const float c01 = lerp(s(0, 0, 1), s(1, 0, 1), tx);
-  const float c11 = lerp(s(0, 1, 1), s(1, 1, 1), tx);
-  return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
+
+  static std::vector<Coord> axis(int n, float cell) {
+    std::vector<Coord> out(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const float f = static_cast<float>(i) / cell;
+      const int c = static_cast<int>(std::floor(f));
+      out[i] = Coord{c, f - c};
+    }
+    return out;
+  }
+
+  std::uint64_t seed_;
+  std::vector<Coord> x_, y_, z_;
+};
+
+// Volumes with at least this many cells (64^3, about 4 ms of work) fill
+// their z-planes on one worker per hardware thread; for smaller ones,
+// starting the workers would cost a noticeable share of the work.  Each
+// plane is computed the same way on any thread, so the bytes do not depend
+// on the worker count.
+constexpr std::size_t kParallelCells = std::size_t{1} << 18;
+
+void for_each_plane(Dims dims, const std::function<void(int z)>& plane) {
+  const int workers = std::min(
+      dims.nz, static_cast<int>(std::thread::hardware_concurrency()));
+  if (dims.cell_count() < kParallelCells || workers < 2) {
+    for (int z = 0; z < dims.nz; ++z) plane(z);
+    return;
+  }
+  // Planes are dealt round-robin: flames and clusters sit in bands of z,
+  // so contiguous runs of planes would differ widely in cost.
+  core::ThreadPool pool(workers);
+  pool.parallel_for(0, static_cast<std::size_t>(workers), [&](std::size_t w) {
+    for (int z = static_cast<int>(w); z < dims.nz; z += workers) plane(z);
+  });
 }
 
 }  // namespace
@@ -67,43 +132,73 @@ Volume generate_combustion(Dims dims, int t, std::uint64_t seed) {
     kernels.push_back(k);
   }
 
-  Volume v(dims);
+  // Each kernel at timestep t: its centre, its squared radius, its peak
+  // times flicker, and its squared X distance to every column.
+  struct Flame {
+    float cy, cz, r2, gain;
+    std::vector<float> dx2;
+  };
   const float min_extent =
       static_cast<float>(std::min({dims.nx, dims.ny, dims.nz}));
-  for (int z = 0; z < dims.nz; ++z) {
-    for (int y = 0; y < dims.ny; ++y) {
-      for (int x = 0; x < dims.nx; ++x) {
-        // Background fuel gradient with mild noise.
-        float val = 0.05f * (1.0f - static_cast<float>(x) / dims.nx) +
-                    0.03f * smooth_noise(seed ^ 0xf00d, static_cast<float>(x),
-                                         static_cast<float>(y),
-                                         static_cast<float>(z), 12.0f);
-        for (const FlameKernel& k : kernels) {
-          // Kernel centre advects along +X and wraps; wanders in Y.
-          const float cx =
-              std::fmod(k.speed * static_cast<float>(t) + k.phase * 10.0f,
-                        static_cast<float>(dims.nx));
-          const float cy =
-              (k.y + 0.1f * std::sin(0.15f * t + k.phase)) * dims.ny;
-          const float cz = k.z * dims.nz;
-          const float r = k.radius * min_extent;
-          float dx = static_cast<float>(x) - cx;
-          // Periodic in X so flames re-enter smoothly.
-          if (dx > dims.nx / 2.0f) dx -= dims.nx;
-          if (dx < -dims.nx / 2.0f) dx += dims.nx;
-          const float dy = static_cast<float>(y) - cy;
-          const float dz = static_cast<float>(z) - cz;
-          const float d2 = (dx * dx + dy * dy + dz * dz) / (r * r);
-          if (d2 < 9.0f) {
-            const float flicker =
-                0.85f + 0.15f * std::sin(0.4f * t + k.phase * 3.0f);
-            val += k.amplitude * flicker * std::exp(-d2);
-          }
-        }
-        v.at(x, y, z) = std::min(val, 1.0f);
-      }
+  std::vector<Flame> flames;
+  flames.reserve(kernels.size());
+  for (const FlameKernel& k : kernels) {
+    Flame f;
+    // Kernel centre advects along +X and wraps; wanders in Y.
+    const float cx =
+        std::fmod(k.speed * static_cast<float>(t) + k.phase * 10.0f,
+                  static_cast<float>(dims.nx));
+    f.cy = (k.y + 0.1f * std::sin(0.15f * t + k.phase)) * dims.ny;
+    f.cz = k.z * dims.nz;
+    const float r = k.radius * min_extent;
+    f.r2 = r * r;
+    const float flicker = 0.85f + 0.15f * std::sin(0.4f * t + k.phase * 3.0f);
+    f.gain = k.amplitude * flicker;
+    f.dx2.resize(static_cast<std::size_t>(dims.nx));
+    for (int x = 0; x < dims.nx; ++x) {
+      float dx = static_cast<float>(x) - cx;
+      // Periodic in X so flames re-enter smoothly.
+      if (dx > dims.nx / 2.0f) dx -= dims.nx;
+      if (dx < -dims.nx / 2.0f) dx += dims.nx;
+      f.dx2[x] = dx * dx;
     }
+    flames.push_back(std::move(f));
   }
+  // Background fuel gradient along X.
+  std::vector<float> fuel(static_cast<std::size_t>(dims.nx));
+  for (int x = 0; x < dims.nx; ++x) {
+    fuel[x] = 0.05f * (1.0f - static_cast<float>(x) / dims.nx);
+  }
+  const LatticeNoise noise(seed ^ 0xf00d, dims, 12.0f);
+
+  // Each row accumulates kernel by kernel: every voxel still adds the
+  // kernels in order, and each division pass spans a whole row, which the
+  // compiler vectorizes.
+  Volume v(dims);
+  for_each_plane(dims, [&](int z) {
+    std::vector<float> d2(static_cast<std::size_t>(dims.nx));
+    for (int y = 0; y < dims.ny; ++y) {
+      float* row = v.data().data() + v.index(0, y, z);
+      // Background fuel gradient with mild noise.
+      noise.sample_row(y, z, row);
+      for (int x = 0; x < dims.nx; ++x) row[x] = fuel[x] + 0.03f * row[x];
+      for (const Flame& f : flames) {
+        const float dy = static_cast<float>(y) - f.cy;
+        const float dz = static_cast<float>(z) - f.cz;
+        const float dy2 = dy * dy, dz2 = dz * dz;
+        // dx2 >= 0 and rounding is monotone, so every d2 of the row is at
+        // least this: a row it rejects has no voxel within 3 radii.
+        if ((dy2 + dz2) / f.r2 >= 9.0f) continue;
+        for (int x = 0; x < dims.nx; ++x) {
+          d2[x] = (f.dx2[x] + dy2 + dz2) / f.r2;
+        }
+        for (int x = 0; x < dims.nx; ++x) {
+          if (d2[x] < 9.0f) row[x] += f.gain * std::exp(-d2[x]);
+        }
+      }
+      for (int x = 0; x < dims.nx; ++x) row[x] = std::min(row[x], 1.0f);
+    }
+  });
   return v;
 }
 
@@ -127,31 +222,56 @@ Volume generate_cosmology(Dims dims, int t, std::uint64_t seed) {
   const float angle = 0.02f * t;  // slow rotation over the time series
   const float ca = std::cos(angle), sa = std::sin(angle);
 
-  Volume v(dims);
-  for (int z = 0; z < dims.nz; ++z) {
-    for (int y = 0; y < dims.ny; ++y) {
-      for (int x = 0; x < dims.nx; ++x) {
-        const float fx = static_cast<float>(x), fy = static_cast<float>(y),
-                    fz = static_cast<float>(z);
-        // Three octaves of smooth noise: the filamentary background.
-        float val = 0.20f * smooth_noise(seed, fx, fy, fz, 32.0f) +
-                    0.12f * smooth_noise(seed ^ 1, fx, fy, fz, 16.0f) +
-                    0.06f * smooth_noise(seed ^ 2, fx, fy, fz, 8.0f);
-        // Rotating point masses (clusters).
-        const float ux = fx / dims.nx - 0.5f;
-        const float uy = fy / dims.ny - 0.5f;
-        const float rx = ca * ux - sa * uy + 0.5f;
-        const float ry = sa * ux + ca * uy + 0.5f;
-        const float rz = fz / dims.nz;
-        for (const Mass& m : masses) {
-          const float dx = rx - m.x, dy = ry - m.y, dz = rz - m.z;
-          const float d2 = dx * dx + dy * dy + dz * dz;
-          val += 0.25f * m.w / (1.0f + 900.0f * d2);
-        }
-        v.at(x, y, z) = std::min(val, 1.0f);
-      }
-    }
+  // The rotation's terms per column and per row.
+  std::vector<float> cux(static_cast<std::size_t>(dims.nx));
+  std::vector<float> sux(cux.size());
+  for (int x = 0; x < dims.nx; ++x) {
+    const float ux = static_cast<float>(x) / dims.nx - 0.5f;
+    cux[x] = ca * ux;
+    sux[x] = sa * ux;
   }
+  std::vector<float> cuy(static_cast<std::size_t>(dims.ny));
+  std::vector<float> suy(cuy.size());
+  for (int y = 0; y < dims.ny; ++y) {
+    const float uy = static_cast<float>(y) / dims.ny - 0.5f;
+    cuy[y] = ca * uy;
+    suy[y] = sa * uy;
+  }
+  // Three octaves of smooth noise: the filamentary background.
+  const LatticeNoise coarse(seed, dims, 32.0f);
+  const LatticeNoise medium(seed ^ 1, dims, 16.0f);
+  const LatticeNoise fine(seed ^ 2, dims, 8.0f);
+
+  // As in generate_combustion, rows accumulate mass by mass.
+  Volume v(dims);
+  for_each_plane(dims, [&](int z) {
+    const std::size_t nx = static_cast<std::size_t>(dims.nx);
+    std::vector<float> n2(nx), n3(nx), rx(nx), ry(nx);
+    const float rz = static_cast<float>(z) / dims.nz;
+    for (int y = 0; y < dims.ny; ++y) {
+      float* row = v.data().data() + v.index(0, y, z);
+      coarse.sample_row(y, z, row);
+      medium.sample_row(y, z, n2.data());
+      fine.sample_row(y, z, n3.data());
+      for (int x = 0; x < dims.nx; ++x) {
+        row[x] = 0.20f * row[x] + 0.12f * n2[x] + 0.06f * n3[x];
+        rx[x] = cux[x] - suy[y] + 0.5f;
+        ry[x] = sux[x] + cuy[y] + 0.5f;
+      }
+      // Rotating point masses (clusters).
+      for (const Mass& m : masses) {
+        const float w = 0.25f * m.w;
+        const float dz = rz - m.z;
+        const float dz2 = dz * dz;
+        for (int x = 0; x < dims.nx; ++x) {
+          const float dx = rx[x] - m.x, dy = ry[x] - m.y;
+          const float d2 = dx * dx + dy * dy + dz2;
+          row[x] += w / (1.0f + 900.0f * d2);
+        }
+      }
+      for (int x = 0; x < dims.nx; ++x) row[x] = std::min(row[x], 1.0f);
+    }
+  });
   return v;
 }
 
