@@ -215,6 +215,36 @@ TEST(Campaign, DeterministicForSameSeed) {
   EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
 }
 
+// The paper's campaigns run in virtual time, so their figures are exact
+// functions of the model.  These values pin Figs. 12/13 and 14/15 (Debug
+// and Release builds print the same digits); a change to the model shows
+// here before it shows in a bench's table.
+TEST(Campaign, PaperCampaignsMatchPinnedValues) {
+  const auto expect_rel = [](double got, double want) {
+    EXPECT_NEAR(got, want, 1e-9 * want);
+  };
+
+  CampaignConfig smp;
+  smp.timesteps = 10;
+  smp.platform = e4500_platform(8);
+  const auto smp_serial = run_campaign(netsim::make_lan_gige(), smp);
+  smp.overlapped = true;
+  const auto smp_overlapped = run_campaign(netsim::make_lan_gige(), smp);
+  expect_rel(smp_serial.total_seconds, 289.53911710205648);
+  expect_rel(smp_overlapped.total_seconds, 180.19423053935131);
+  expect_rel(smp_serial.load_seconds.mean(), 15.102934222091724);
+  expect_rel(smp_serial.render_seconds.mean(), 12.194278360837576);
+
+  CampaignConfig cplant;
+  cplant.timesteps = 8;
+  cplant.platform = cplant_platform(8);
+  const auto cplant_serial = run_campaign(netsim::make_nton(), cplant);
+  cplant.overlapped = true;
+  const auto cplant_overlapped = run_campaign(netsim::make_nton(), cplant);
+  expect_rel(cplant_serial.total_seconds, 71.111470451125228);
+  expect_rel(cplant_overlapped.total_seconds, 53.607930413913522);
+}
+
 // ---- degraded-placement scenarios (src/placement failure modes) -------------
 
 // A config where the DPSS disk farm, not the WAN or host NICs, is the
