@@ -7,7 +7,7 @@
 //   {"bench":"cache","cold_mbps":...,"cold_p50_ms":...,"cold_p95_ms":...,
 //    "cold_p99_ms":...,"warm_mbps":... (same p50/p95/p99 trio),
 //    "warm_hit_ratio":...,"cold_disk_s":...,"warm_disk_s":...,
-//    "policies":{"lru":...,...}}
+//    "policy_lru_hit_ratio":...,"policy_slru_hit_ratio":...}
 // Each pass reads the file block by block so every pread lands in an
 // obs::Histogram: the warm pass collapses the whole distribution, not just
 // the mean, and the percentile columns show it.
@@ -182,10 +182,8 @@ int main() {
   core::TableWriter policies({"policy", "hit ratio (hot-set + scan mix)"});
   const double lru = policy_hit_ratio(cache::PolicyKind::kLru);
   const double slru = policy_hit_ratio(cache::PolicyKind::kSegmentedLru);
-  const double clock = policy_hit_ratio(cache::PolicyKind::kClock);
   policies.add_row({"lru", core::fmt_double(lru, 4)});
   policies.add_row({"slru", core::fmt_double(slru, 4)});
-  policies.add_row({"clock", core::fmt_double(clock, 4)});
   std::printf("Eviction policies, 2 MB cache vs ~130 MB touched:\n%s\n",
               policies.to_string().c_str());
 
@@ -204,6 +202,5 @@ int main() {
       .metric("warm_disk_s", warm.disk_seconds)
       .metric("policy_lru_hit_ratio", lru)
       .metric("policy_slru_hit_ratio", slru)
-      .metric("policy_clock_hit_ratio", clock)
       .write();
 }

@@ -20,7 +20,6 @@ int main() {
   std::printf("=== Figure 10: LBL DPSS -> CPlant over NTON, serial back end ===\n\n");
 
   sim::CampaignConfig cfg;
-  cfg.dataset = vol::paper_combustion_dataset();
   cfg.timesteps = 8;
   cfg.overlapped = false;
   cfg.platform = sim::cplant_platform(4);

@@ -21,7 +21,6 @@ int main() {
   std::printf("=== Figures 12/13: serial vs overlapped on the E4500 SMP (LAN) ===\n\n");
 
   sim::CampaignConfig cfg;
-  cfg.dataset = vol::paper_combustion_dataset();
   cfg.timesteps = 10;
   cfg.platform = sim::e4500_platform(8);
 

@@ -22,7 +22,6 @@ int main() {
 
   auto run = [](int pes, bool overlapped) {
     sim::CampaignConfig cfg;
-    cfg.dataset = vol::paper_combustion_dataset();
     cfg.timesteps = 8;
     cfg.overlapped = overlapped;
     cfg.platform = sim::cplant_platform(pes);

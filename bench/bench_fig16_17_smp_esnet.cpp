@@ -22,7 +22,6 @@ int main() {
   std::printf("=== Figures 16/17: ANL Onyx2 over ESnet, serial vs overlapped ===\n\n");
 
   sim::CampaignConfig cfg;
-  cfg.dataset = vol::paper_combustion_dataset();
   cfg.timesteps = 8;
   cfg.platform = sim::onyx2_platform(8);
 

@@ -50,7 +50,6 @@ int main() {
                              "measured To", "model To", "speedup"});
     for (int n : {2, 5, 10, 20}) {
       sim::CampaignConfig cfg;
-      cfg.dataset = vol::paper_combustion_dataset();
       cfg.timesteps = n;
       cfg.platform = sim::e4500_platform(8);
 

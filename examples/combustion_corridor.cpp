@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
               timesteps, pes);
 
   sim::CampaignConfig cfg;
-  cfg.dataset = vol::paper_combustion_dataset();
   cfg.timesteps = timesteps;
   cfg.platform = sim::cplant_platform(pes);
 

@@ -36,11 +36,6 @@ BlockCache::BlockCache(BlockCacheConfig config) : config_(config) {
     auto shard = std::make_unique<Shard>();
     shard->policy = make_policy(config_.policy);
     shard->capacity = per;
-    if (config_.tinylfu_admission) {
-      std::size_t counters = config_.admission_counters;
-      if (counters == 0) counters = std::max<std::size_t>(256, per / (64 * 1024));
-      shard->sketch = std::make_unique<FrequencySketch>(counters);
-    }
     shards_.push_back(std::move(shard));
   }
   // Remainder bytes go to shard 0 so the shard budgets sum to the total.
@@ -69,7 +64,6 @@ BlockData BlockCache::lookup(const BlockKey& key) {
   bool hit = false;
   {
     std::lock_guard lk(shard.mu);
-    if (shard.sketch) shard.sketch->record(BlockKeyHash{}(key));
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       hit = true;
@@ -98,7 +92,6 @@ BlockCache::Pin BlockCache::lookup_pinned(const BlockKey& key) {
   std::size_t bytes = 0;
   {
     std::lock_guard lk(shard.mu);
-    if (shard.sketch) shard.sketch->record(BlockKeyHash{}(key));
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       data = it->second.data;
@@ -139,20 +132,7 @@ bool BlockCache::contains(const BlockKey& key) const {
 }
 
 bool BlockCache::insert(const BlockKey& key, BlockData data, bool prefetched) {
-  const std::size_t charge = data ? data->size() : 0;
-  return insert_charged(key, std::move(data), charge, prefetched);
-}
-
-bool BlockCache::insert(const BlockKey& key, std::vector<std::uint8_t> bytes,
-                        bool prefetched) {
-  metrics_.count_copied(bytes.size());
-  return insert(
-      key, std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)),
-      prefetched);
-}
-
-bool BlockCache::insert_charged(const BlockKey& key, BlockData data,
-                                std::size_t charge_bytes, bool prefetched) {
+  const std::size_t charge_bytes = data ? data->size() : 0;
   Shard& shard = shard_for(key);
   std::vector<std::pair<BlockKey, std::size_t>> evicted;
   bool admitted = false;
@@ -162,17 +142,6 @@ bool BlockCache::insert_charged(const BlockKey& key, BlockData data,
     const std::size_t existing_charge =
         it != shard.map.end() ? it->second.charge : 0;
     if (charge_bytes <= shard.capacity) {
-      // TinyLFU admission: a brand-new key that can only enter by evicting
-      // must out-score its victims' sketched frequency.  The attempt is
-      // recorded either way, so a genuinely recurring block accumulates
-      // frequency and wins on a later try.
-      const bool gated = shard.sketch != nullptr && it == shard.map.end();
-      std::uint32_t candidate_freq = 0;
-      if (gated) {
-        const std::uint64_t key_hash = BlockKeyHash{}(key);
-        shard.sketch->record(key_hash);
-        candidate_freq = shard.sketch->estimate(key_hash);
-      }
       // Trial victim selection among unpinned entries other than the key
       // itself (an overwrite reuses its own entry's budget).  Nothing is
       // evicted until the block is known to fit: a doomed admission must
@@ -191,10 +160,6 @@ bool BlockCache::insert_charged(const BlockKey& key, BlockData data,
             },
             &victim);
         if (!found) break;
-        if (gated &&
-            shard.sketch->estimate(BlockKeyHash{}(victim)) >= candidate_freq) {
-          break;  // the resident block is at least as hot: admission denied
-        }
         reclaimed += shard.map.find(victim)->second.charge;
         chosen.insert(victim);
       }
@@ -235,6 +200,14 @@ bool BlockCache::insert_charged(const BlockKey& key, BlockData data,
     metrics_.count_admit_reject();
   }
   return admitted;
+}
+
+bool BlockCache::insert(const BlockKey& key, std::vector<std::uint8_t> bytes,
+                        bool prefetched) {
+  metrics_.count_copied(bytes.size());
+  return insert(
+      key, std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)),
+      prefetched);
 }
 
 void BlockCache::erase_locked(

@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/admission.h"
 #include "cache/metrics.h"
 #include "cache/policy.h"
 #include "netlog/logger.h"
@@ -42,15 +41,6 @@ struct BlockCacheConfig {
   std::size_t capacity_bytes = 64ull << 20;
   int shards = 8;  // clamped to >= 1; use 1 for strict global ordering
   PolicyKind policy = PolicyKind::kLru;
-  // TinyLFU-style admission gate (admission.h): an insert that would have
-  // to evict is rejected unless the candidate's sketched frequency beats
-  // the proposed victim's, so one-touch scans cannot flush the hot set
-  // even under plain LRU.  Inserts that fit without eviction are always
-  // admitted.
-  bool tinylfu_admission = false;
-  // Sketch counters per shard; 0 sizes from the shard's byte budget
-  // assuming 64 KB blocks.
-  std::size_t admission_counters = 0;
 };
 
 class BlockCache {
@@ -108,11 +98,6 @@ class BlockCache {
   bool insert(const BlockKey& key, BlockData data, bool prefetched = false);
   bool insert(const BlockKey& key, std::vector<std::uint8_t> bytes,
               bool prefetched = false);
-  // Admit with an explicit byte charge instead of data->size().  Model-only
-  // users (the campaign simulator) cache empty placeholders that stand for
-  // multi-megabyte slabs.
-  bool insert_charged(const BlockKey& key, BlockData data,
-                      std::size_t charge_bytes, bool prefetched = false);
 
   // Explicit invalidation.  Pinned entries are in active use and are left
   // in place (erase returns false; the bulk forms skip them).
@@ -124,9 +109,6 @@ class BlockCache {
   std::size_t entry_count() const;
   std::size_t capacity_bytes() const { return config_.capacity_bytes; }
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  const char* policy_name() const {
-    return cache::policy_name(config_.policy);
-  }
 
   // Full snapshot: counters plus current occupancy.
   MetricsSnapshot metrics() const;
@@ -151,7 +133,6 @@ class BlockCache {
     mutable std::mutex mu;
     std::unordered_map<BlockKey, Entry, BlockKeyHash> map;
     std::unique_ptr<EvictionPolicy> policy;
-    std::unique_ptr<FrequencySketch> sketch;  // null without admission
     std::size_t bytes = 0;
     std::size_t capacity = 0;
   };

@@ -8,24 +8,14 @@ const char* policy_name(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kLru: return "lru";
     case PolicyKind::kSegmentedLru: return "slru";
-    case PolicyKind::kClock: return "clock";
   }
   return "unknown";
-}
-
-core::Result<PolicyKind> parse_policy(const std::string& name) {
-  if (name == "lru") return PolicyKind::kLru;
-  if (name == "slru") return PolicyKind::kSegmentedLru;
-  if (name == "clock") return PolicyKind::kClock;
-  return core::invalid_argument("unknown eviction policy: " + name);
 }
 
 std::unique_ptr<EvictionPolicy> make_policy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kSegmentedLru:
       return std::make_unique<SegmentedLruPolicy>();
-    case PolicyKind::kClock:
-      return std::make_unique<ClockPolicy>();
     case PolicyKind::kLru:
       break;
   }
@@ -134,73 +124,6 @@ bool SegmentedLruPolicy::select_victim(
       return true;
     }
   }
-  return false;
-}
-
-// ---- CLOCK -----------------------------------------------------------------
-
-void ClockPolicy::advance_hand() {
-  if (ring_.empty()) {
-    hand_ = ring_.end();
-    return;
-  }
-  if (hand_ == ring_.end()) {
-    hand_ = ring_.begin();
-    return;
-  }
-  ++hand_;
-  if (hand_ == ring_.end()) hand_ = ring_.begin();
-}
-
-void ClockPolicy::on_insert(const BlockKey& key) {
-  Node node;
-  node.key = key;
-  node.referenced = true;
-  // Insert just behind the hand, so a fresh block gets a full sweep before
-  // it is examined.
-  auto at = hand_ == ring_.end() ? ring_.end() : hand_;
-  pos_[key] = ring_.insert(at, node);
-  if (hand_ == ring_.end()) hand_ = ring_.begin();
-}
-
-void ClockPolicy::on_access(const BlockKey& key) {
-  auto it = pos_.find(key);
-  if (it == pos_.end()) return;
-  it->second->referenced = true;
-}
-
-void ClockPolicy::on_erase(const BlockKey& key) {
-  auto it = pos_.find(key);
-  if (it == pos_.end()) return;
-  if (hand_ == it->second) advance_hand();
-  // advance_hand() can only land back on the erased node if it is the sole
-  // element; erase leaves the hand at end() in that case.
-  if (hand_ == it->second) hand_ = ring_.end();
-  ring_.erase(it->second);
-  pos_.erase(it);
-}
-
-bool ClockPolicy::select_victim(
-    const std::function<bool(const BlockKey&)>& evictable, BlockKey* victim) {
-  if (ring_.empty()) return false;
-  if (hand_ == ring_.end()) hand_ = ring_.begin();
-  // Two full sweeps suffice: the first clears reference bits, the second
-  // must then find an unreferenced evictable node if one exists.
-  const std::size_t limit = 2 * ring_.size() + 1;
-  for (std::size_t step = 0; step < limit; ++step) {
-    if (evictable(hand_->key)) {
-      if (hand_->referenced) {
-        hand_->referenced = false;  // second chance
-      } else {
-        *victim = hand_->key;
-        return true;
-      }
-    }
-    advance_hand();
-  }
-  // Every evictable node kept getting re-referenced between sweeps is
-  // impossible under the shard lock; reaching here means nothing was
-  // evictable at all.
   return false;
 }
 

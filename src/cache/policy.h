@@ -6,14 +6,12 @@
 // the cache, which passes an `evictable` predicate to select_victim() so a
 // policy can never propose a pinned block.
 //
-// Three classic policies, selectable per cache:
-//   * LRU           -- exact recency list; the DPSS default.
+// Two classic policies, selectable per cache:
+//   * LRU           -- exact recency list; the DPSS server tier's policy.
 //   * Segmented LRU -- probationary + protected segments: blocks must be
 //                      re-referenced to earn protection, so one scan of a
-//                      large dataset cannot flush the hot set.
-//   * CLOCK         -- one-bit second-chance approximation of LRU with O(1)
-//                      accesses; the policy a 2000-era block server would
-//                      actually have shipped.
+//                      large dataset cannot flush the hot set.  The client
+//                      read-ahead tier uses it.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +20,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-
-#include "core/status.h"
 
 namespace visapult::cache {
 
@@ -34,7 +30,7 @@ namespace visapult::cache {
 // write pipeline erases the old key explicitly; unversioned users leave
 // generation at 0 and behave exactly as before).  Integration layers reuse
 // the block field for their own granularity (the backend keys whole
-// timesteps, the campaign keys PE slabs).
+// timesteps).
 struct BlockKey {
   std::string dataset;
   std::uint64_t block = 0;
@@ -67,10 +63,9 @@ struct BlockKeyHash {
   }
 };
 
-enum class PolicyKind { kLru, kSegmentedLru, kClock };
+enum class PolicyKind { kLru, kSegmentedLru };
 
 const char* policy_name(PolicyKind kind);
-core::Result<PolicyKind> parse_policy(const std::string& name);
 
 class EvictionPolicy {
  public:
@@ -142,28 +137,6 @@ class SegmentedLruPolicy final : public EvictionPolicy {
   std::list<BlockKey> probation_;   // front = most recent
   std::list<BlockKey> protected_;   // front = most recent
   std::unordered_map<BlockKey, Slot, BlockKeyHash> pos_;
-};
-
-class ClockPolicy final : public EvictionPolicy {
- public:
-  const char* name() const override { return "clock"; }
-  void on_insert(const BlockKey& key) override;
-  void on_access(const BlockKey& key) override;
-  void on_erase(const BlockKey& key) override;
-  bool select_victim(const std::function<bool(const BlockKey&)>& evictable,
-                     BlockKey* victim) override;
-  std::size_t tracked() const override { return pos_.size(); }
-
- private:
-  struct Node {
-    BlockKey key;
-    bool referenced = true;
-  };
-  void advance_hand();
-
-  std::list<Node> ring_;
-  std::list<Node>::iterator hand_ = ring_.end();
-  std::unordered_map<BlockKey, std::list<Node>::iterator, BlockKeyHash> pos_;
 };
 
 }  // namespace visapult::cache

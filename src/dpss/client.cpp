@@ -1103,8 +1103,8 @@ void DpssFile::enable_readahead(const ReadaheadOptions& options) {
   if (ra_cache_) return;
   cache::BlockCacheConfig cc;
   cc.capacity_bytes = options.cache_bytes;
-  cc.shards = options.cache_shards;
-  cc.policy = options.policy;
+  cc.shards = 4;
+  cc.policy = cache::PolicyKind::kSegmentedLru;
   ra_cache_ = std::make_unique<cache::BlockCache>(cc);
   if (options.threads > 0) {
     ra_pool_ = std::make_unique<core::ThreadPool>(options.threads);

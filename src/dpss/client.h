@@ -232,9 +232,8 @@ enum class Whence { kSet, kCur, kEnd };
 
 // Client-side read-ahead configuration (DpssFile::enable_readahead).
 struct ReadaheadOptions {
+  // Budget of the file's read-ahead tier (four segmented-LRU shards).
   std::size_t cache_bytes = 16ull << 20;
-  int cache_shards = 4;
-  cache::PolicyKind policy = cache::PolicyKind::kSegmentedLru;
   cache::PrefetchConfig prefetch;
   // Pool threads issuing read-ahead; 0 fetches inline on the demand path
   // (deterministic -- what unit tests use).

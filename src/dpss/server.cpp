@@ -102,9 +102,6 @@ BlockServer::BlockServer(std::string name, DiskModel disk, bool throttle,
   if (cache_config_.enabled) {
     cache::BlockCacheConfig cc;
     cc.capacity_bytes = cache_config_.capacity_bytes;
-    cc.shards = cache_config_.shards;
-    cc.policy = cache_config_.policy;
-    cc.tinylfu_admission = cache_config_.tinylfu_admission;
     cache_ = std::make_unique<cache::BlockCache>(cc);
     if (cache_config_.prefetch) {
       prefetcher_ = std::make_unique<cache::Prefetcher>(

@@ -89,10 +89,6 @@ struct DiskModel {
 struct ServerCacheConfig {
   bool enabled = true;
   std::size_t capacity_bytes = 64ull << 20;
-  int shards = 8;
-  cache::PolicyKind policy = cache::PolicyKind::kLru;
-  // TinyLFU admission gate: scans cannot flush the hot set (admission.h).
-  bool tinylfu_admission = false;
   // Stripe-aware read-ahead from the modelled disks into the memory tier.
   // Fills run inline on the thread serving the demand read that predicted
   // them: they take spindles on the schedule but never wait for them.

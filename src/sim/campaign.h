@@ -11,25 +11,22 @@
 // same NLV analysis that profiles the real pipeline profiles the simulated
 // campaigns -- and regenerates Figures 10 and 12-17.
 //
+// The harness models only what those figures need: the paper's combustion
+// dataset on a healthy four-server DPSS.  The storage tier's own features
+// (memory tier, prefetch, replication, erasure coding, overwrites, sharded
+// metadata) run for real in src/dpss and are measured there.
+//
 // Serial and overlapped modes follow the paper's control flow exactly:
 // serial alternates L and R per PE; overlapped starts load(t+1) when
 // render(t) starts, with a two-deep buffer, so To = N*max(L,R)+min(L,R).
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <algorithm>
 #include <vector>
 
-#include "cache/metrics.h"
-#include "cache/policy.h"
-#include "codec/ec_profile.h"
-#include "core/rng.h"
 #include "core/stats.h"
-#include "dpss/server.h"
-#include "netlog/logger.h"
 #include "netlog/nlv.h"
 #include "netsim/topology.h"
-#include "obs/metrics.h"
 #include "render/parallel.h"
 #include "vol/dataset.h"
 
@@ -62,98 +59,14 @@ PlatformConfig cplant_platform(int pes = 8);
 PlatformConfig e4500_platform(int pes = 8);
 PlatformConfig onyx2_platform(int pes = 8);
 
+// The dataset (vol::paper_combustion_dataset()), the DPSS farm (four
+// servers with default dpss::DiskModel spindles, one load connection per
+// server from each PE), the heavy payload (default_heavy_payload_bytes) and
+// the jitter seed are fixed: every figure the harness reproduces uses them.
 struct CampaignConfig {
-  vol::DatasetDesc dataset = vol::paper_combustion_dataset();
-  int timesteps = 10;            // frames to replay
+  int timesteps = 10;  // frames to replay
   bool overlapped = false;
   PlatformConfig platform;
-  // DPSS farm feeding the campaign.
-  int dpss_servers = 4;
-  dpss::DiskModel disk;
-  // Parallel load connections per PE (the client opens one per server).
-  int connections_per_pe = 4;
-  // Heavy payload bytes per PE per frame; <= 0 derives O(n^2) from dims
-  // (transverse extent x 16 bytes/pixel + AMR geometry).
-  double heavy_payload_bytes = -1.0;
-  std::uint64_t seed = 1;
-
-  // ---- cold-vs-warm replay (the "browse the same dataset again" case) ----
-  // Play the timestep sequence `passes` times back to back.  With
-  // `dpss_cache_bytes` > 0, the DPSS site gets a memory-tier model: slabs
-  // resident from an earlier pass are served straight from server memory,
-  // skipping the disk-farm link entirely, and every lookup is logged as
-  // CACHE_HIT / CACHE_MISS on the virtual clock.
-  int passes = 1;
-  double dpss_cache_bytes = 0.0;  // 0 disables the memory tier
-  cache::PolicyKind dpss_cache_policy = cache::PolicyKind::kLru;
-
-  // ---- degraded-placement scenarios (the src/placement failure modes) ----
-  // Replays the campaign with the DPSS farm degrading at a pass boundary:
-  // kKillServer removes `count` servers' disk capacity from `at_pass`
-  // onwards, kSlowServer leaves them serving at 1/slow_factor rate,
-  // kRejoin kills them for exactly one pass (the servers heartbeat back
-  // in).  Whether a kill loses data depends on the redundancy mode: with
-  // replication a load survives up to replication_factor - 1 dead servers;
-  // with erasure coding (`ec` enabled) up to ec.parity_slices -- at
-  // (k+m)/k capacity instead of rf x.  Beyond the tolerance the dead
-  // servers' share of each slab is unrecoverable and counted in
-  // CampaignResult::pass_read_errors.  Requires dpss_servers >= 2 to kill.
-  struct FaultScenario {
-    enum class Kind { kNone, kKillServer, kSlowServer, kRejoin };
-    Kind kind = Kind::kNone;
-    int server = 0;           // which DPSS server (capacity share)
-    int count = 1;            // how many servers the fault takes
-    int at_pass = 1;          // 0-based pass where the fault strikes
-    double slow_factor = 4.0; // kSlowServer: service-rate divisor
-  };
-  FaultScenario fault;
-  // Copies per block in the modelled farm (placement-tier semantics).
-  int replication_factor = 1;
-  // Erasure-coded redundancy instead of replication: survivable loads
-  // under a kill reconstruct client-side, paying a GF(2^8) decode charge
-  // for the dead servers' share on top of the lost farm capacity.
-  codec::EcProfile ec;
-  double ec_decode_bytes_per_sec = 2e9;  // bulk RS decode rate (bench_codec)
-
-  // ---- mid-run overwrite (the src/ingest write pipeline) ----
-  // Re-ingest the dataset at the start of pass `at_pass`: every slab's
-  // generation bumps, so memory-tier entries from earlier passes are stale
-  // -- the generation-keyed cache treats them as misses and reclaims them
-  // (CampaignResult::stale_invalidations), and any read served from an old
-  // generation would be counted in pass_stale_reads (asserted zero: the
-  // key carries the generation, so a stale entry cannot satisfy a fresh
-  // lookup).  `server_driven` selects chain replication / parity-delta
-  // writes (each byte crosses the client uplink once, replica copies move
-  // farm-internally) over the classic client fanout (rf copies cross the
-  // uplink) for the analytic overwrite_seconds figure.  A kill/rejoin
-  // fault striking the same pass hits primaries mid-chain: the dead
-  // servers' share of the slabs misses the new generation and is re-synced
-  // through the master's fixup queue (fixup_resyncs) before the next
-  // reads, keeping pass_read_errors at zero within redundancy tolerance.
-  struct OverwriteScenario {
-    int at_pass = -1;          // < 0 disables
-    bool server_driven = true; // chain/parity-delta vs client fanout
-  };
-  OverwriteScenario overwrite;
-
-  // ---- sharded metadata plane (src/meta, PR 9) ----
-  // Attach a REAL sharded master cluster to the modelled campaign: every
-  // pass runs `opens_per_pass` dataset opens through a dpss::MetaCluster
-  // of `shards` x `replicas` in-process masters, and `kill_leader_at_pass`
-  // kills the owning shard's current leader right before that pass's
-  // opens.  Clients fail over to the shard's followers (reads never need
-  // the leader), their failure reports feed the survivors' health
-  // trackers, and the cluster's next election promotes the
-  // highest-epoch follower -- so CampaignResult::pass_open_errors stays
-  // zero through the kill, the acceptance property of the metadata plane.
-  // Requires replicas >= 2 to survive a kill.
-  struct MetaScenario {
-    int shards = 0;               // 0 disables the scenario
-    int replicas = 2;             // members per shard
-    int opens_per_pass = 8;
-    int kill_leader_at_pass = -1; // < 0 never kills
-  };
-  MetaScenario meta;
 };
 
 struct CampaignResult {
@@ -163,85 +76,6 @@ struct CampaignResult {
   core::RunningStat frame_load_throughput_bps;  // aggregate per frame
   double utilization = 0.0;            // vs theoretical bottleneck capacity
   std::vector<netlog::Event> events;   // virtual-clock NLV log
-
-  // Aggregate bytes loaded / total load-phase span.
-  double aggregate_load_bps = 0.0;
-
-  // Replay-pass breakdown (size == config.passes; single entry when the
-  // campaign runs once).  pass_seconds spans first load start to last
-  // frame completion of that pass; hit ratios come from the DPSS memory
-  // tier (0 when disabled).
-  std::vector<double> pass_seconds;
-  std::vector<double> pass_hit_ratio;
-  // Per-pass aggregate load throughput (bytes actually loaded / load
-  // window span) -- the figure degraded-placement scenarios compare
-  // against the healthy pass.
-  std::vector<double> pass_load_bps;
-  // PE-frame loads that lost data to dead servers (only possible when the
-  // kill/rejoin count exceeds what the redundancy mode tolerates:
-  // replication_factor - 1 dead for replicas, ec.parity_slices for EC).
-  std::vector<std::uint64_t> pass_read_errors;
-  // Per-pass PE-frame load-duration distributions (virtual-clock seconds):
-  // fault scenarios assert on the observed tail, e.g. a slow-server pass
-  // shifts p99 while a warm-cache pass collapses p50.
-  std::vector<obs::HistogramSnapshot> pass_load_hist;
-  // USE-method utilization of the LIVE disk farm per pass: bytes that
-  // actually crossed the disk-farm link (cache hits skip it) over the
-  // pass's load window, divided by the surviving servers' aggregate
-  // streaming rate.  A kill pass pushes this up -- the same demand lands
-  // on fewer spindles -- and a rejoin pass drains it back toward the
-  // healthy baseline, which the fault scenarios assert.
-  std::vector<double> pass_disk_utilization;
-  // Raw capacity stored per logical byte under the configured redundancy:
-  // rf for replication, (k+m)/k for erasure coding.
-  double redundancy_capacity_ratio = 1.0;
-  // DPSS memory-tier counters for the whole run (zero-value if disabled).
-  cache::MetricsSnapshot cache_metrics;
-
-  // ---- mid-run overwrite accounting (OverwriteScenario) ----
-  // Reads served from a cache entry whose generation was not the latest
-  // acknowledged one.  Structurally zero -- lookups are keyed by the
-  // current generation -- and asserted zero by the acceptance scenarios.
-  std::vector<std::uint64_t> pass_stale_reads;
-  // Resident old-generation entries reclaimed after the overwrite (each
-  // was a would-be stale read under an unversioned cache key).
-  std::uint64_t stale_invalidations = 0;
-  // Slab copies the overwrite's fault left behind (primaries killed
-  // mid-chain / rejoiners that missed the generation), re-synced through
-  // the fixup queue.
-  std::uint64_t fixup_resyncs = 0;
-  // Analytic wall-clock of the overwrite itself under the configured
-  // write path (chain/parity-delta vs client fanout).
-  double overwrite_seconds = 0.0;
-  // Generation the overwrite stamped (0 when no overwrite ran).
-  std::uint64_t overwrite_generation = 0;
-
-  // ---- live alerting (obs::AlertEngine over the per-pass scrapes) ----
-  // The run replays its cumulative read-error counter through a burn-rate
-  // rule (`read_timeout_burn: rate(campaign_read_timeouts_total) > 0`),
-  // one scrape per pass plus a healthy baseline at t=0.  A fault pass
-  // that loses data fires the alert, the next clean pass resolves it, and
-  // a healthy run never fires -- the zero-false-positive property the
-  // fault scenarios assert.  pass_alerts_firing[p] is the firing count
-  // right after pass p's scrape.
-  std::vector<std::uint32_t> pass_alerts_firing;
-  std::uint64_t alerts_fired = 0;
-  std::uint64_t alerts_resolved = 0;
-
-  // ---- sharded metadata plane (MetaScenario) ----
-  // Client-visible open failures per pass through the real MetaCluster.
-  // The kill-a-leader acceptance scenario asserts every entry is zero:
-  // followers answer reads and the election restores the shard before any
-  // open runs out of members to try.
-  std::vector<std::uint64_t> pass_open_errors;
-  // Opens answered with a not_modified placement delta (cached epoch
-  // matched) vs opens that shipped a full snapshot body.
-  std::uint64_t meta_delta_opens = 0;
-  std::uint64_t meta_snapshot_opens = 0;
-  // Leader elections the cluster ran (>= 1 when a kill struck).
-  std::uint64_t meta_leader_elections = 0;
-  // Member-to-member failovers the client's shard routing performed.
-  std::uint64_t meta_master_failovers = 0;
 };
 
 // Run the campaign over `testbed` (moved in; its Network carries the run).

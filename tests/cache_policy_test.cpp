@@ -1,5 +1,5 @@
 // Eviction policy behaviour: exact LRU ordering, SLRU scan resistance,
-// CLOCK second chances, and the pinned-skip contract of select_victim.
+// and the pinned-skip contract of select_victim.
 #include "cache/policy.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +20,9 @@ BlockKey key(std::uint64_t block, const std::string& dataset = "ds") {
 bool any(const BlockKey&) { return true; }
 
 TEST(PolicyKindTest, NameParseRoundTrip) {
-  for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kSegmentedLru,
-                          PolicyKind::kClock}) {
-    auto parsed = parse_policy(policy_name(kind));
-    ASSERT_TRUE(parsed.is_ok());
-    EXPECT_EQ(parsed.value(), kind);
+  for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kSegmentedLru}) {
     EXPECT_STREQ(make_policy(kind)->name(), policy_name(kind));
   }
-  EXPECT_FALSE(parse_policy("mru").is_ok());
 }
 
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
@@ -109,58 +104,10 @@ TEST(SegmentedLruPolicyTest, ProtectedOverflowDemotesToProbation) {
   EXPECT_EQ(victim, key(0));  // first promoted = coldest = demoted
 }
 
-TEST(ClockPolicyTest, SecondChanceSurvivesOneSweep) {
-  ClockPolicy clock;
-  for (std::uint64_t b = 0; b < 3; ++b) clock.on_insert(key(b));
-  // All referenced: the first sweep clears bits, the second finds block 0
-  // (insertion order from the hand).
-  BlockKey victim;
-  ASSERT_TRUE(clock.select_victim(any, &victim));
-  const BlockKey first = victim;
-  clock.on_erase(victim);
-
-  // The survivors had their bits cleared by that sweep, so the next
-  // selection is immediate and picks a different block.
-  ASSERT_TRUE(clock.select_victim(any, &victim));
-  EXPECT_NE(victim, first);
-  EXPECT_EQ(clock.tracked(), 2u);
-}
-
-TEST(ClockPolicyTest, ReferencedBlockOutlivesUnreferenced) {
-  ClockPolicy clock;
-  clock.on_insert(key(0));
-  clock.on_insert(key(1));
-  // Clear both bits with one victim selection round-trip.
-  BlockKey victim;
-  ASSERT_TRUE(clock.select_victim(any, &victim));
-  clock.on_erase(victim);
-  clock.on_insert(key(2));
-  // 2 is referenced (fresh), the survivor of {0,1} is not: the survivor
-  // goes first.
-  ASSERT_TRUE(clock.select_victim(any, &victim));
-  EXPECT_NE(victim, key(2));
-}
-
-TEST(ClockPolicyTest, EraseAtHandStaysConsistent) {
-  ClockPolicy clock;
-  for (std::uint64_t b = 0; b < 4; ++b) clock.on_insert(key(b));
-  // Erase everything in arbitrary order; the hand must never dangle.
-  clock.on_erase(key(2));
-  clock.on_erase(key(0));
-  clock.on_erase(key(3));
-  BlockKey victim;
-  ASSERT_TRUE(clock.select_victim(any, &victim));
-  EXPECT_EQ(victim, key(1));
-  clock.on_erase(key(1));
-  EXPECT_EQ(clock.tracked(), 0u);
-  EXPECT_FALSE(clock.select_victim(any, &victim));
-}
-
 // Every policy must tolerate access/erase of unknown keys (the cache never
 // issues them, but defensive no-ops keep the contract simple).
 TEST(PolicyContractTest, UnknownKeysAreNoOps) {
-  for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kSegmentedLru,
-                          PolicyKind::kClock}) {
+  for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kSegmentedLru}) {
     auto policy = make_policy(kind);
     policy->on_access(key(42));
     policy->on_erase(key(42));

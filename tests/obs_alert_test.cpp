@@ -1,9 +1,6 @@
 // Metric time series and live alerting: rate rings, rule parsing, the
-// fire-after-N-breaches / resolve-on-recovery state machine, the master's
-// tick-driven scrape surfacing through kStats, and the fault campaigns'
-// zero-false-positive acceptance (a kill pass fires the read-error
-// burn-rate alert, the rejoined pass resolves it, a healthy run never
-// fires).
+// fire-after-N-breaches / resolve-on-recovery state machine, and the
+// master's tick-driven scrape surfacing through kStats.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +8,6 @@
 
 #include "dpss/deployment.h"
 #include "obs/alert.h"
-#include "sim/campaign.h"
 #include "support/test_support.h"
 
 namespace visapult::obs {
@@ -179,55 +175,3 @@ TEST(MasterAlerts, TickScrapesAndStatsExpose) {
 
 }  // namespace
 }  // namespace visapult::obs
-
-// ---- fault-campaign alerting ------------------------------------------------
-
-namespace visapult::sim {
-namespace {
-
-CampaignConfig alert_campaign(int passes) {
-  CampaignConfig cfg;
-  cfg.timesteps = 3;
-  cfg.passes = passes;
-  cfg.platform = cplant_platform(8);
-  cfg.dpss_servers = 4;
-  return cfg;
-}
-
-TEST(CampaignAlerts, KillRejoinFiresThenResolvesReadErrorBurn) {
-  // rf=1 + a one-pass kill/rejoin: the dead server's share is lost for
-  // exactly pass 1, so the cumulative read-error counter climbs in that
-  // pass's scrape window and flatlines after.
-  auto cfg = alert_campaign(3);
-  cfg.replication_factor = 1;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kRejoin;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  ASSERT_EQ(result.pass_read_errors.size(), 3u);
-  ASSERT_GT(result.pass_read_errors[1], 0u);  // the fault actually bit
-  ASSERT_EQ(result.pass_alerts_firing.size(), 3u);
-  EXPECT_EQ(result.pass_alerts_firing[0], 0u);  // healthy pass: silent
-  EXPECT_EQ(result.pass_alerts_firing[1], 1u);  // fault pass: firing
-  EXPECT_EQ(result.pass_alerts_firing[2], 0u);  // rejoined pass: resolved
-  EXPECT_EQ(result.alerts_fired, 1u);
-  EXPECT_EQ(result.alerts_resolved, 1u);
-}
-
-TEST(CampaignAlerts, HealthyBaselineNeverFires) {
-  // Redundancy absorbs the kill (rf=2): read errors stay zero end to end,
-  // and so must the alert -- the zero-false-positive acceptance bound.
-  auto cfg = alert_campaign(2);
-  cfg.replication_factor = 2;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  for (auto errors : result.pass_read_errors) EXPECT_EQ(errors, 0u);
-  for (auto firing : result.pass_alerts_firing) EXPECT_EQ(firing, 0u);
-  EXPECT_EQ(result.alerts_fired, 0u);
-  EXPECT_EQ(result.alerts_resolved, 0u);
-}
-
-}  // namespace
-}  // namespace visapult::sim

@@ -12,7 +12,6 @@ using core::mbps_from_bytes_per_sec;
 
 CampaignConfig small_campaign(bool overlapped, int timesteps = 6) {
   CampaignConfig cfg;
-  cfg.dataset = vol::paper_combustion_dataset();
   cfg.timesteps = timesteps;
   cfg.overlapped = overlapped;
   cfg.platform = e4500_platform(8);
@@ -243,231 +242,6 @@ TEST(Campaign, PaperCampaignsMatchPinnedValues) {
   const auto cplant_overlapped = run_campaign(netsim::make_nton(), cplant);
   expect_rel(cplant_serial.total_seconds, 71.111470451125228);
   expect_rel(cplant_overlapped.total_seconds, 53.607930413913522);
-}
-
-// ---- degraded-placement scenarios (src/placement failure modes) -------------
-
-// A config where the DPSS disk farm, not the WAN or host NICs, is the
-// bottleneck, so removing a server's capacity is visible in throughput:
-// CPlant nodes (per-node NICs) on a gigabit LAN against a 4-server farm.
-CampaignConfig fault_campaign(int passes = 2) {
-  CampaignConfig cfg;
-  cfg.timesteps = 3;
-  cfg.passes = passes;
-  cfg.platform = cplant_platform(8);
-  cfg.dpss_servers = 4;
-  return cfg;
-}
-
-TEST(CampaignFaults, KillServerWithReplicasDegradesWithinTwoX) {
-  auto cfg = fault_campaign();
-  cfg.replication_factor = 2;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  ASSERT_EQ(result.pass_load_bps.size(), 2u);
-  ASSERT_EQ(result.pass_read_errors.size(), 2u);
-  // Replicas absorb the kill: no read errors in either pass.
-  EXPECT_EQ(result.pass_read_errors[0], 0u);
-  EXPECT_EQ(result.pass_read_errors[1], 0u);
-  // The degraded pass is slower, but within 2x of the healthy pass (the
-  // farm lost 1 of 4 servers).
-  EXPECT_GT(result.pass_load_bps[0], 0.0);
-  EXPECT_GT(result.pass_load_bps[1], 0.0);
-  EXPECT_LT(result.pass_load_bps[1], result.pass_load_bps[0]);
-  EXPECT_LE(result.pass_load_bps[0], 2.0 * result.pass_load_bps[1]);
-}
-
-TEST(CampaignFaults, KillServerWithoutReplicasLosesData) {
-  auto cfg = fault_campaign();
-  cfg.replication_factor = 1;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  EXPECT_EQ(result.pass_read_errors[0], 0u);
-  // Every PE-frame load of the degraded pass lost the dead server's share.
-  EXPECT_EQ(result.pass_read_errors[1],
-            static_cast<std::uint64_t>(cfg.timesteps * cfg.platform.pes));
-}
-
-TEST(CampaignFaults, SlowServerDegradesLessThanKill) {
-  auto kill = fault_campaign();
-  kill.replication_factor = 2;
-  kill.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  kill.fault.at_pass = 1;
-  auto killed = run_campaign(netsim::make_lan_gige(), kill);
-
-  auto slow = fault_campaign();
-  slow.replication_factor = 2;
-  slow.fault.kind = CampaignConfig::FaultScenario::Kind::kSlowServer;
-  slow.fault.at_pass = 1;
-  slow.fault.slow_factor = 4.0;
-  auto slowed = run_campaign(netsim::make_lan_gige(), slow);
-
-  // A server at quarter speed still contributes; a dead one does not.
-  EXPECT_GT(slowed.pass_load_bps[1], killed.pass_load_bps[1]);
-  EXPECT_LT(slowed.pass_load_bps[1], slowed.pass_load_bps[0]);
-  EXPECT_EQ(slowed.pass_read_errors[1], 0u);
-}
-
-TEST(CampaignFaults, RejoinRecoversThroughput) {
-  auto cfg = fault_campaign(3);
-  cfg.replication_factor = 2;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kRejoin;
-  cfg.fault.at_pass = 1;  // down for pass 1 only, back for pass 2
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  ASSERT_EQ(result.pass_load_bps.size(), 3u);
-  EXPECT_LT(result.pass_load_bps[1], result.pass_load_bps[0]);
-  EXPECT_GT(result.pass_load_bps[2], result.pass_load_bps[1]);
-  for (auto errors : result.pass_read_errors) EXPECT_EQ(errors, 0u);
-}
-
-TEST(CampaignFaults, KillPassRaisesDiskUtilizationAndRejoinDrainsIt) {
-  // USE-method assertion on the farm: with the WAN (ESnet), not the farm,
-  // as the bottleneck, the healthy pass leaves disk headroom; the kill pass
-  // concentrates the same demand on the surviving spindles (utilization
-  // up); the rejoin pass spreads it back out (utilization drains).
-  CampaignConfig cfg;
-  cfg.timesteps = 3;
-  cfg.passes = 3;
-  cfg.platform = onyx2_platform(8);
-  cfg.dpss_servers = 4;
-  cfg.replication_factor = 2;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kRejoin;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_esnet(), cfg);
-
-  ASSERT_EQ(result.pass_disk_utilization.size(), 3u);
-  for (double u : result.pass_disk_utilization) {
-    EXPECT_GT(u, 0.0);
-    EXPECT_LE(u, 1.5);  // bytes / (window * live rate) can't blow past ~1
-  }
-  EXPECT_GT(result.pass_disk_utilization[1], result.pass_disk_utilization[0]);
-  EXPECT_LT(result.pass_disk_utilization[2], result.pass_disk_utilization[1]);
-}
-
-// ---- erasure-coded redundancy (src/codec) -----------------------------------
-
-// The ISSUE acceptance scenario: a (4, 2) erasure-coded farm survives TWO
-// server kills mid-replay -- zero read errors, every load completing via
-// client-side reconstruction -- with per-pass throughput within 3x of the
-// healthy pass, at 1.5x capacity.  rf=2, which costs 2x capacity, loses
-// data under the same double kill.
-TEST(CampaignEc, FourTwoSurvivesTwoKillsWithinThreeX) {
-  auto cfg = fault_campaign();
-  cfg.dpss_servers = 6;
-  cfg.ec = codec::EcProfile{4, 2};
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  cfg.fault.count = 2;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  // 1.5x capacity, comfortably under the 1.6x acceptance bound.
-  EXPECT_DOUBLE_EQ(result.redundancy_capacity_ratio, 1.5);
-  EXPECT_LE(result.redundancy_capacity_ratio, 1.6);
-
-  ASSERT_EQ(result.pass_load_bps.size(), 2u);
-  // Parity absorbs both kills: no read errors in either pass.
-  EXPECT_EQ(result.pass_read_errors[0], 0u);
-  EXPECT_EQ(result.pass_read_errors[1], 0u);
-  // Degraded but bounded: the farm lost 2 of 6 servers and pays the
-  // client-side decode charge, yet stays within 3x of healthy.
-  EXPECT_GT(result.pass_load_bps[1], 0.0);
-  EXPECT_LT(result.pass_load_bps[1], result.pass_load_bps[0]);
-  EXPECT_LE(result.pass_load_bps[0], 3.0 * result.pass_load_bps[1]);
-}
-
-TEST(CampaignEc, ReplicationTwoLosesDataUnderDoubleKillAtTwiceCapacity) {
-  auto cfg = fault_campaign();
-  cfg.dpss_servers = 6;
-  cfg.replication_factor = 2;
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  cfg.fault.count = 2;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  // rf=2 buys less tolerance for more capacity: 2x stored, and two dead
-  // servers exceed the rf-1 = 1 it can absorb.
-  EXPECT_DOUBLE_EQ(result.redundancy_capacity_ratio, 2.0);
-  EXPECT_EQ(result.pass_read_errors[0], 0u);
-  EXPECT_EQ(result.pass_read_errors[1],
-            static_cast<std::uint64_t>(cfg.timesteps * cfg.platform.pes));
-}
-
-TEST(CampaignEc, SingleKillWithinParityBeatsLosingData) {
-  auto cfg = fault_campaign();
-  cfg.ec = codec::EcProfile{2, 1};
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kKillServer;
-  cfg.fault.at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-  EXPECT_EQ(result.pass_read_errors[1], 0u);
-  EXPECT_LT(result.pass_load_bps[1], result.pass_load_bps[0]);
-
-  // Beyond m, EC loses data just like under-replication.
-  cfg.fault.count = 2;
-  auto lossy = run_campaign(netsim::make_lan_gige(), cfg);
-  EXPECT_GT(lossy.pass_read_errors[1], 0u);
-}
-
-TEST(CampaignEc, EcRejoinRecoversAndDecodePenaltyIsBounded) {
-  auto cfg = fault_campaign(3);
-  cfg.dpss_servers = 6;
-  cfg.ec = codec::EcProfile{4, 2};
-  cfg.fault.kind = CampaignConfig::FaultScenario::Kind::kRejoin;
-  cfg.fault.count = 2;
-  cfg.fault.at_pass = 1;  // down for pass 1 only
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  ASSERT_EQ(result.pass_load_bps.size(), 3u);
-  EXPECT_LT(result.pass_load_bps[1], result.pass_load_bps[0]);
-  EXPECT_GT(result.pass_load_bps[2], result.pass_load_bps[1]);
-  for (auto errors : result.pass_read_errors) EXPECT_EQ(errors, 0u);
-}
-
-TEST(CampaignFaults, FaultlessRunsReportHealthyPasses) {
-  auto cfg = fault_campaign();
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-  ASSERT_EQ(result.pass_load_bps.size(), 2u);
-  EXPECT_GT(result.pass_load_bps[0], 0.0);
-  // Same work, same conditions: both passes land in the same ballpark.
-  EXPECT_NEAR(result.pass_load_bps[1], result.pass_load_bps[0],
-              0.3 * result.pass_load_bps[0]);
-  EXPECT_EQ(result.pass_read_errors[0], 0u);
-  EXPECT_EQ(result.pass_read_errors[1], 0u);
-}
-
-// PR 9 acceptance property: kill a metadata shard leader mid-campaign and
-// the open storm sees ZERO client-visible failures -- a follower answers
-// from its replicated catalog while the election promotes a survivor.
-TEST(CampaignMeta, KillShardLeaderMidCampaignZeroOpenFailures) {
-  auto cfg = fault_campaign(/*passes=*/3);
-  cfg.meta.shards = 4;
-  cfg.meta.replicas = 3;
-  cfg.meta.opens_per_pass = 8;
-  cfg.meta.kill_leader_at_pass = 1;
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-
-  ASSERT_EQ(result.pass_open_errors.size(), 3u);
-  for (std::size_t p = 0; p < result.pass_open_errors.size(); ++p) {
-    EXPECT_EQ(result.pass_open_errors[p], 0u) << "open failures in pass " << p;
-  }
-  // The kill was real: the client failed over, and the end-of-pass tick
-  // elected a replacement leader.
-  EXPECT_GT(result.meta_master_failovers, 0u);
-  EXPECT_GE(result.meta_leader_elections, 1u);
-  // Opens after the first ride the delta fast path, snapshot only once.
-  EXPECT_GT(result.meta_delta_opens, 0u);
-  EXPECT_GT(result.meta_snapshot_opens, 0u);
-}
-
-TEST(CampaignMeta, ScenarioOffLeavesResultEmpty) {
-  auto cfg = fault_campaign();
-  auto result = run_campaign(netsim::make_lan_gige(), cfg);
-  EXPECT_TRUE(result.pass_open_errors.empty());
-  EXPECT_EQ(result.meta_leader_elections, 0u);
 }
 
 }  // namespace
