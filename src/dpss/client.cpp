@@ -123,13 +123,23 @@ class ServerPool {
     return pipeline(leg, request, on_reply);
   }
 
-  // Send every request, then read every reply.
+  // Send every request, then read every reply.  Requests that carry no
+  // block (reads) leave in one batch send.  A request that carries one (a
+  // write) closes its batch, so a leg holds one block frame at a time and
+  // the server handles it while the next is encoded.
   static core::Status pipeline(Leg& leg, const RequestSource& request,
                                const ReplySink& on_reply) noexcept {
     net::ByteStream& stream = *leg.conn->stream;
+    std::vector<net::Message> batch;
     for (std::size_t i = 0; i < leg.requests; ++i) {
-      const core::Status st = net::send_message(stream, request(leg.server, i));
-      if (!st.is_ok()) return st;
+      batch.push_back(request(leg.server, i));
+      if (batch.back().payload.size() <=
+              net::ByteStream::kCoalescePayloadBytes &&
+          i + 1 < leg.requests) {
+        continue;
+      }
+      if (auto st = net::send_messages(stream, batch); !st.is_ok()) return st;
+      batch.clear();
     }
     for (std::size_t i = 0; i < leg.requests; ++i) {
       auto reply = net::recv_message(stream);
@@ -558,6 +568,7 @@ DpssFile::DpssFile(std::string dataset, DatasetLayout layout,
       stale_retries_(
           registry_.counter("dpss_client_stale_read_retries_total")),
       copy_encode_(registry_.counter("dpss_client_copy_encode_bytes_total")),
+      copy_decode_(registry_.counter("dpss_client_copy_decode_bytes_total")),
       copy_user_(registry_.counter("dpss_client_copy_user_bytes_total")),
       read_seconds_(registry_.histogram("dpss_client_read_seconds")),
       write_seconds_(registry_.histogram("dpss_client_write_seconds")) {
@@ -708,6 +719,7 @@ core::Result<BlockReadReply> DpssFile::take_block(const net::Message& msg) {
   if (!reply.is_ok()) return reply;
   BlockReadReply& r = reply.value();
   wire_bytes_.add(r.data.size());
+  copy_decode_.add(r.data.size());
   if (r.compressed) {
     // A block never decompresses past the layout's block size.
     auto raw = decompress_block(r.data, layout_.block_bytes);
@@ -719,9 +731,29 @@ core::Result<BlockReadReply> DpssFile::take_block(const net::Message& msg) {
   return reply;
 }
 
+bool DpssFile::deliver_block(const BlockReadView& reply, const Deliveries& to) {
+  if (reply.compressed) return false;
+  const auto it = to.find(reply.block);
+  if (it == to.end()) return false;
+  if (reply.generation < known_gens_.latest(dataset_, reply.block)) {
+    return false;  // a lagging replica: fetch_wire_blocks retries it
+  }
+  for (const BlockRef* ref : it->second) {
+    if (ref->offset_in_block + ref->length > reply.data.size()) return false;
+  }
+  for (const BlockRef* ref : it->second) {
+    std::memcpy(ref->dest, reply.data.data() + ref->offset_in_block,
+                ref->length);
+    copy_user_.add(ref->length);
+  }
+  wire_bytes_.add(reply.data.size());
+  raw_bytes_.add(reply.data.size());
+  return true;
+}
+
 core::Status DpssFile::fetch_wire_blocks(
     const std::vector<std::uint64_t>& blocks,
-    std::map<std::uint64_t, Fetched>* received) {
+    std::map<std::uint64_t, Fetched>* received, const Deliveries* deliver) {
   if (blocks.empty()) return core::Status::ok();
 
   std::vector<std::uint64_t> pending = blocks;
@@ -774,10 +806,28 @@ core::Status DpssFile::fetch_wire_blocks(
           return encode(
               BlockReadRequest{dataset_, by_server[s][i], compression_});
         },
-        [&](std::size_t s, std::size_t, net::Message& msg) -> core::Status {
+        [&](std::size_t s, std::size_t i, net::Message& msg) -> core::Status {
+          // A reply must name the block its request named: one naming a
+          // block of another leg would land in a buffer that leg fills.
+          const std::uint64_t block = by_server[s][i];
+          const auto misnamed = [&] {
+            return core::data_loss("block reply out of order: asked for " +
+                                   std::to_string(block));
+          };
+          if (deliver) {
+            auto view = decode<BlockReadView>(msg);
+            if (!view.is_ok()) return view.status();
+            if (view.value().block != block) return misnamed();
+            if (deliver_block(view.value(), *deliver)) {
+              per_server[s][block] =
+                  Fetched{{}, view.value().generation, /*delivered=*/true};
+              return core::Status::ok();
+            }
+          }
           auto reply = take_block(msg);
           if (!reply.is_ok()) return reply.status();
-          per_server[s][reply.value().block] =
+          if (reply.value().block != block) return misnamed();
+          per_server[s][block] =
               Fetched{std::move(reply.value().data), reply.value().generation};
           return core::Status::ok();
         }).is_ok();
@@ -1017,16 +1067,30 @@ core::Status DpssFile::fetch_blocks(std::vector<BlockRef> refs) {
     missing = distinct;
   }
 
+  // Blocks copied from their reply frames straight into the caller's
+  // buffers.  Only when no reply's bytes are needed after the exchange: no
+  // read-ahead tier to fill, no compression to undo, and no erasure code
+  // whose rebuilds reuse sibling blocks.
+  std::set<std::uint64_t> delivered;
   if (!missing.empty()) {
+    Deliveries deliveries;
+    if (!ra_cache_ && !ec_.valid() && compression_.codec == Codec::kNone) {
+      for (const BlockRef& r : refs) deliveries[r.block].push_back(&r);
+    }
     std::map<std::uint64_t, Fetched> received;
     {
       std::lock_guard lk(wire_mu_);
       active_trace_ = trace;
-      auto st = fetch_wire_blocks(missing, &received);
+      auto st = fetch_wire_blocks(missing, &received,
+                                  deliveries.empty() ? nullptr : &deliveries);
       active_trace_ = obs::TraceContext{};
       if (!st.is_ok()) return st;
     }
     for (auto& [b, fetched] : received) {
+      if (fetched.delivered) {
+        delivered.insert(b);
+        continue;
+      }
       auto data = std::make_shared<const std::vector<std::uint8_t>>(
           std::move(fetched.data));
       if (ra_cache_) {
@@ -1040,6 +1104,7 @@ core::Status DpssFile::fetch_blocks(std::vector<BlockRef> refs) {
   }
 
   for (const BlockRef& r : refs) {
+    if (delivered.count(r.block)) continue;
     auto it = have.find(r.block);
     if (it == have.end()) {
       return core::data_loss("server returned wrong block set");

@@ -14,6 +14,14 @@
 // servers concurrently, each pooled connection's long-lived I/O worker
 // running its server's batch while the caller runs one -- the client-side
 // parallelism Visapult's back-end PEs leverage for their parallel loads.
+// Each such leg sends its whole batch of read requests with one send call
+// (a write sends each block frame on its own), and copies each raw block
+// reply from the received frame straight into the caller's buffer as it
+// arrives: a plain read copies each block once on the client.  A reply
+// that names a block other than the one requested fails its leg.  Replies
+// whose bytes outlive the exchange -- compressed ones, EC slices and
+// rebuilds, and read-ahead fills -- are decoded into buffers of their own
+// first (dpss_client_copy_decode_bytes_total).
 //
 // Replica-aware datasets (OpenReply.ring_vnodes > 0) add failover: the
 // client rebuilds the placement ring locally, ranks each block's replicas
@@ -274,7 +282,9 @@ class DpssFile {
 
   // Scatter read: fetch several (offset, length) extents in one parallel
   // round -- the access pattern of a non-contiguous slab (vol::ByteRange
-  // lists).  Extents must lie within the dataset.
+  // lists).  Extents must lie within the dataset, and their destinations
+  // must not overlap: each server's I/O worker copies its blocks into
+  // them concurrently with the others.
   struct Extent {
     std::uint64_t offset = 0;
     std::size_t length = 0;
@@ -397,10 +407,16 @@ class DpssFile {
   };
   // One fetched block: payload plus the generation the server stamped it
   // with (0 for reconstructed blocks, which have no single server stamp).
+  // A delivered block was copied from its reply frame straight into the
+  // caller's buffers and keeps no bytes here.
   struct Fetched {
     std::vector<std::uint8_t> data;
     std::uint64_t generation = 0;
+    bool delivered = false;
   };
+  // The caller's buffers that want each block, for replies copied straight
+  // out of their frames.
+  using Deliveries = std::map<std::uint64_t, std::vector<const BlockRef*>>;
   core::Status fetch_blocks(std::vector<BlockRef> refs);
   // The one block-server fan-out: server s is sent one request per entry
   // of blocks[s] (the block it names), stamped with the active trace and
@@ -412,15 +428,24 @@ class DpssFile {
   // Decode a block reply, decompressing it when the server did, and count
   // its wire and raw bytes.
   core::Result<BlockReadReply> take_block(const net::Message& msg);
+  // Copy a raw reply's block from its frame into every buffer `to` names
+  // for it, on the thread that received it.  False, with nothing copied,
+  // when the reply must take the owned path instead: compressed, for a
+  // block `to` does not name, from a lagging replica, or shorter than a
+  // buffer wants.  Thread-safe for distinct blocks.
+  bool deliver_block(const BlockReadView& reply, const Deliveries& to);
   // Fetch whole blocks from their owning servers in one exchange per
   // round; on a server failure the affected blocks retry against the
   // next live replica (or, erasure-coded, fall through to reconstruction).
   // A replica answering with a generation older than an acknowledged write
   // is skipped for that block and the fetch retried on the next replica.
-  // Caller must hold wire_mu_ (the per-server streams carry pipelined
-  // request/reply pairs that must not interleave).
+  // With `deliver`, the blocks it names go straight into the caller's
+  // buffers (deliver_block) and come back marked delivered.  Caller must
+  // hold wire_mu_ (the per-server streams carry pipelined request/reply
+  // pairs that must not interleave).
   core::Status fetch_wire_blocks(const std::vector<std::uint64_t>& blocks,
-                                 std::map<std::uint64_t, Fetched>* received);
+                                 std::map<std::uint64_t, Fetched>* received,
+                                 const Deliveries* deliver = nullptr);
   // Degraded EC read: rebuild `blocks` (whose data-slice owners are dead)
   // from any k surviving slices per group.  Caller holds wire_mu_.
   core::Status reconstruct_blocks(const std::vector<std::uint64_t>& blocks,
@@ -503,10 +528,12 @@ class DpssFile {
   obs::Counter& reconstructed_reads_;
   obs::Counter& degraded_writes_;
   obs::Counter& stale_retries_;
-  // Block bytes this file copied, by site: into write frames (encode) and
-  // between the caller's buffer and the library (user).  Decoding a reply
-  // copies its wire bytes (wire_bytes_) out of the frame.
+  // Block bytes this file copied, by site: into write frames (encode), out
+  // of reply frames into owned buffers (decode: compressed, EC and
+  // read-ahead replies), and between the caller's buffer and the library
+  // (user), which a plain read does straight from the reply frame.
   obs::Counter& copy_encode_;
+  obs::Counter& copy_decode_;
   obs::Counter& copy_user_;
   obs::Histogram& read_seconds_;
   obs::Histogram& write_seconds_;

@@ -538,10 +538,12 @@ net::ReactorServerOptions front_options() {
 
 }  // namespace
 
-// One block server's doors: the client door on its worker pool and the
-// peer door on an elastic pool, plus the collector exporting their stats
-// through the server's registry.  Declaration order is teardown order in
-// reverse: the pools outlive the doors that dispatch onto them.
+// One block server's doors, plus the collector exporting their stats
+// through the server's registry.  The client door runs block reads (and
+// the prefetch fills they trigger) on the event loops and writes and
+// introspection on its worker pool; the peer door runs everything on an
+// elastic pool.  Declaration order is teardown order in reverse: the pools
+// outlive the doors that dispatch onto them.
 struct Deployment::ServerDoors {
   std::unique_ptr<core::ThreadPool> workers;
   std::unique_ptr<core::ThreadPool> peer_workers;
@@ -726,11 +728,12 @@ core::Status Deployment::open_member(int i) {
     return srv->dispatch(std::move(msg), conn_id);
   };
   auto d = std::make_shared<ServerDoors>();
-  // Block-server handlers may forward down a replica chain, so each server
-  // offloads to its own worker pool; per-server pools keep a forwarded hop
-  // from starving the downstream server's inbound capacity.  Modelled disk
-  // reads hold no worker: the handler returns at once and its reply waits
-  // out the read on a loop timer.
+  // Write handlers may forward down a replica chain, so each server
+  // offloads them to its own worker pool; per-server pools keep a
+  // forwarded hop from starving the downstream server's inbound capacity.
+  // Block reads never block -- a modelled disk read returns at once and its
+  // reply waits out the read on a loop timer -- so they, and the prefetch
+  // fills they trigger, run on the loop that read them.
   d->workers =
       std::make_unique<core::ThreadPool>(std::max(1, options_.worker_threads));
   core::ThreadPool* pool = d->workers.get();
@@ -746,15 +749,17 @@ core::Status Deployment::open_member(int i) {
     run_hist.observe(run_s);
   });
   // Block reads are independent of each other, so consecutive reads
-  // pipelined on one client connection overlap -- on the workers and on
-  // the modelled spindles, whichever allows more; writes and introspection
-  // stay barriers.  The peer door keeps strict serial dispatch.
+  // pipelined on one client connection overlap on the modelled spindles:
+  // the window is one deferred reply per spindle.  Writes and
+  // introspection stay barriers on the pool.  The peer door keeps strict
+  // serial dispatch, every handler on its pool.
   net::ReactorServerOptions front_opts = front_options();
   front_opts.overlappable = [](std::uint32_t type) {
     return type == kBlockReadRequest;
   };
-  front_opts.window = static_cast<std::size_t>(
-      std::max({1, options_.worker_threads, srv->disk_model().disks}));
+  front_opts.runs_on_loop = front_opts.overlappable;
+  front_opts.window =
+      static_cast<std::size_t>(std::max(1, srv->disk_model().disks));
   d->front = std::make_unique<net::ReactorServer>(*reactors_, handler,
                                                   front_opts, pool);
   d->front->set_read_timeout_observer([srv] { srv->note_read_timeout(); });

@@ -3,8 +3,9 @@
 //
 // One Deployment owns the components, every operational lever, and every
 // way they are served: a shared pool of event loops, the master's front
-// door (net/reactor_server.h), and for each block server a client door on
-// its own worker pool and a peer door on an elastic pool.  A transport
+// door (net/reactor_server.h), and for each block server a client door
+// (block reads on the loops, writes and introspection on its own worker
+// pool) and a peer door on an elastic pool.  A transport
 // differs only in how a door opens and how a stream reaches it.  Two
 // transports:
 //   * PipeDeployment -- everything in-process: doors take connections over
@@ -73,11 +74,11 @@ std::uint64_t export_spans_to_master(Master& master, TraceExport& e);
 struct TcpDeploymentOptions {
   // 0 -> one event loop per core (capped in ReactorPool).
   int reactor_loops = 0;
-  // Handler offload threads per block server.  Block-server handlers may
-  // block (chain forwarding to peers), so they never run on the event
-  // loops; per-server pools keep an A->B forward from competing with B's
-  // own inbound work.  Modelled disk reads are not handler time: their
-  // replies wait on loop timers.
+  // Handler offload threads per block server.  Write handlers may block
+  // (chain forwarding to peers), so they never run on the event loops;
+  // per-server pools keep an A->B forward from competing with B's own
+  // inbound work.  Block reads never block (a modelled disk read's reply
+  // waits on a loop timer), so they run on the loops, not here.
   int worker_threads = 4;
 };
 

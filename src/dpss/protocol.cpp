@@ -12,7 +12,7 @@ namespace {
 //   arithmetic            its own width (u8, u32, u64, f64)
 //   enum                  its underlying width; at most last(E)
 //   std::string           u32 length + bytes
-//   vector<u8>            u64 length + bytes
+//   vector<u8>, ByteView  u64 length + bytes (a view decodes in place)
 //   vector<T>             u32 count + each element
 //   as<W>(field)          W, which must fit the field's own type
 //   any other struct      its field list, below
@@ -119,6 +119,9 @@ class Writer {
       const std::vector<std::uint8_t>& b = &x == field_ ? *bytes_ : x;
       write(static_cast<std::uint64_t>(b.size()));
       raw(b.data(), b.size());
+    } else if constexpr (std::is_same_v<T, net::ByteView>) {
+      write(static_cast<std::uint64_t>(x.size()));
+      raw(x.data(), x.size());
     } else if constexpr (IsVector<T>::value) {
       write(static_cast<std::uint32_t>(x.size()));
       for (const auto& e : x) write(e);
@@ -231,6 +234,8 @@ class Reader {
       take(in_.str(), x);
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
       take(in_.bytes(), x);
+    } else if constexpr (std::is_same_v<T, net::ByteView>) {
+      take(in_.bytes_view(), x);
     } else if constexpr (IsVector<T>::value) {
       std::uint32_t n = 0;
       read(n);
@@ -340,7 +345,8 @@ template <typename V> void fields(V& v, OpenReply& m) {
 template <typename V> void fields(V& v, BlockReadRequest& m) {
   v.frame(kBlockReadRequest, m.dataset, m.block, m.compression);
 }
-template <typename V> void fields(V& v, BlockReadReply& m) {
+template <typename V, typename Bytes>
+void fields(V& v, BasicBlockReadReply<Bytes>& m) {
   v.reply(kBlockReadReply, m.block, m.compressed, m.generation, m.data);
 }
 template <typename V> void fields(V& v, BlockWriteRequest& m) {
@@ -464,6 +470,7 @@ DPSS_MESSAGE(OpenRequest)
 DPSS_MESSAGE(OpenReply)
 DPSS_MESSAGE(BlockReadRequest)
 DPSS_MESSAGE(BlockReadReply)
+DPSS_MESSAGE(BlockReadView)
 DPSS_MESSAGE(BlockWriteRequest)
 DPSS_MESSAGE(BlockWriteReply)
 DPSS_MESSAGE(HeartbeatRequest)

@@ -179,17 +179,25 @@ struct BlockReadRequest {
   CompressionConfig compression;
 };
 
-struct BlockReadReply {
+// A block reply over how it holds its block: BlockReadReply owns the
+// bytes; BlockReadView points into the frame it was decoded from, so a
+// client can copy a block from there straight into the caller's buffer.
+// Both share one field list, and so one wire format.
+template <typename Bytes>
+struct BasicBlockReadReply {
   std::uint64_t block = 0;
   // Raw block bytes when `compressed` is false; a compress_block() frame
   // otherwise.
   bool compressed = false;
-  std::vector<std::uint8_t> data;
+  Bytes data;
   // Ingest generation of the served bytes (0 for never-overwritten
   // blocks).  Clients use it to key their read-ahead tier and to detect a
   // replica serving data older than an acknowledged write.
   std::uint64_t generation = 0;
 };
+using BlockReadReply = BasicBlockReadReply<std::vector<std::uint8_t>>;
+// Valid while the frame it was decoded from lives, unchanged.
+using BlockReadView = BasicBlockReadReply<net::ByteView>;
 
 struct BlockWriteRequest {
   std::string dataset;
@@ -353,9 +361,10 @@ struct IntrospectReply {
 
 // ---- encode / decode ---------------------------------------------------------
 
-// Defined in protocol.cpp for every message struct above.  decode<T>() of
-// a reply turns a kErrorReply frame into its Status; decode<T>() of a
-// request rejects it like any other wrong type.
+// Defined in protocol.cpp for every message struct above, and for
+// BlockReadView, whose decode copies no block byte out of the frame.
+// decode<T>() of a reply turns a kErrorReply frame into its Status;
+// decode<T>() of a request rejects it like any other wrong type.
 template <typename T>
 net::Message encode(const T& message);
 template <typename T>

@@ -5,8 +5,13 @@
 // on each controller" (section 3.5).  A BlockServer stores logical blocks
 // for any number of datasets and services read/write requests through
 // dispatch(), which is thread-safe: the deployment's reactor doors
-// (net/reactor_server.h), over TCP or over socketpairs, run the block
-// reads pipelined on one connection concurrently on a worker pool.
+// (net/reactor_server.h), over TCP or over socketpairs, run block reads on
+// the event loops that read them -- a read never blocks, so several
+// pipelined on one connection overlap on the modelled spindles, and the
+// shared loops serve other connections' reads at the same time -- and
+// writes and introspection on the door's worker pool.  Never blocking is
+// not free: a read that asks for compression compresses its block on the
+// loop, which also serves the master's and every peer door.
 //
 // The DiskModel captures the physical substrate we don't have: each server
 // owns `disks` independent spindles; a block read costs a seek plus
@@ -91,7 +96,8 @@ struct ServerCacheConfig {
   std::size_t capacity_bytes = 64ull << 20;
   // Stripe-aware read-ahead from the modelled disks into the memory tier.
   // Fills run inline on the thread serving the demand read that predicted
-  // them: they take spindles on the schedule but never wait for them.
+  // them (the event loop, behind a reactor door): they take spindles on
+  // the schedule but never wait for them.
   bool prefetch = true;
   cache::PrefetchConfig prefetch_config;
 };

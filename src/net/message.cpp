@@ -1,6 +1,7 @@
 #include "net/message.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 
 namespace visapult::net {
@@ -16,17 +17,66 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
 #error "cannot verify host endianness; the wire format requires little-endian"
 #endif
 
+namespace {
+
+using FrameHeader = std::array<std::uint8_t, kFrameHeaderBytes>;
+
+FrameHeader frame_header(const Message& msg) {
+  FrameHeader header;
+  const std::uint32_t magic = kMessageMagic;
+  const std::uint64_t len = msg.payload.size();
+  std::memcpy(header.data() + 0, &magic, 4);
+  std::memcpy(header.data() + 4, &msg.type, 4);
+  std::memcpy(header.data() + 8, &len, 8);
+  std::memcpy(header.data() + 16, &msg.trace_id, 8);
+  std::memcpy(header.data() + 24, &msg.span_id, 8);
+  return header;
+}
+
+}  // namespace
+
+core::Status ByteStream::send_frames(const Frame* frames, std::size_t count) {
+  std::vector<std::uint8_t> run;  // small frames not yet sent
+  auto flush = [&] {
+    if (run.empty()) return core::Status::ok();
+    auto st = send_all(run.data(), run.size());
+    run.clear();
+    return st;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const Frame& f = frames[i];
+    if (coalesced(f)) {
+      run.insert(run.end(), f.header, f.header + f.header_len);
+      run.insert(run.end(), f.payload, f.payload + f.payload_len);
+      continue;
+    }
+    if (auto st = flush(); !st.is_ok()) return st;
+    if (auto st = send_frame(f.header, f.header_len, f.payload, f.payload_len);
+        !st.is_ok()) {
+      return st;
+    }
+  }
+  return flush();
+}
+
 core::Status send_message(ByteStream& stream, const Message& msg) {
-  std::uint8_t header[kFrameHeaderBytes];
-  std::uint32_t magic = kMessageMagic;
-  std::uint64_t len = msg.payload.size();
-  std::memcpy(header + 0, &magic, 4);
-  std::memcpy(header + 4, &msg.type, 4);
-  std::memcpy(header + 8, &len, 8);
-  std::memcpy(header + 16, &msg.trace_id, 8);
-  std::memcpy(header + 24, &msg.span_id, 8);
-  return stream.send_frame(header, sizeof header, msg.payload.data(),
+  const FrameHeader header = frame_header(msg);
+  return stream.send_frame(header.data(), header.size(), msg.payload.data(),
                            msg.payload.size());
+}
+
+core::Status send_messages(ByteStream& stream,
+                           const std::vector<Message>& msgs) {
+  std::vector<FrameHeader> headers;
+  std::vector<Frame> frames;
+  headers.reserve(msgs.size());
+  frames.reserve(msgs.size());
+  for (const Message& msg : msgs) {
+    const FrameHeader& header = headers.emplace_back(frame_header(msg));
+    frames.push_back(Frame{header.data(), header.size(), msg.payload.data(),
+                           msg.payload.size()});
+  }
+  return stream.send_frames(frames.data(), frames.size());
 }
 
 core::Status recv_growing(ByteStream& stream, std::uint64_t len,
@@ -163,6 +213,15 @@ core::Result<std::vector<std::uint8_t>> Reader::bytes() {
                               buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
   pos_ += len.value();
   return b;
+}
+
+core::Result<ByteView> Reader::bytes_view() {
+  auto len = u64();
+  if (!len.is_ok()) return len.status();
+  if (auto st = need(len.value()); !st.is_ok()) return st;
+  const ByteView view(buf_.data() + pos_, len.value());
+  pos_ += len.value();
+  return view;
 }
 
 }  // namespace visapult::net

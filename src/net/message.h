@@ -52,6 +52,10 @@ struct Reply {
 // Blocking send/recv of a framed message over any ByteStream.  A send is
 // one ByteStream::send_frame call.
 core::Status send_message(ByteStream& stream, const Message& msg);
+// Every message of a batch, in order, with one ByteStream::send_frames
+// call.
+core::Status send_messages(ByteStream& stream,
+                           const std::vector<Message>& msgs);
 core::Result<Message> recv_message(ByteStream& stream,
                                    std::size_t max_payload = 1ull << 32);
 
@@ -62,6 +66,22 @@ core::Status recv_growing(ByteStream& stream, std::uint64_t len,
                           std::vector<std::uint8_t>* out);
 
 // ---- field-level serialization ---------------------------------------------
+
+// Bytes inside a buffer someone else owns, e.g. a field decoded in place
+// from a received frame: valid only while that buffer lives, unchanged.
+class ByteView {
+ public:
+  ByteView() = default;
+  ByteView(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  const std::uint8_t* data() const { return data_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 class Writer {
  public:
@@ -94,6 +114,8 @@ class Reader {
   core::Result<double> f64();
   core::Result<std::string> str();
   core::Result<std::vector<std::uint8_t>> bytes();
+  // What bytes() reads, left in place: a view into the reader's buffer.
+  core::Result<ByteView> bytes_view();
 
   std::size_t remaining() const { return buf_.size() - pos_; }
   bool exhausted() const { return pos_ == buf_.size(); }

@@ -90,7 +90,9 @@ void Reactor::post(std::function<void()> fn) {
     std::lock_guard lk(tasks_mu_);
     tasks_.emplace_back(now(), std::move(fn));
   }
-  wake();
+  // The loop looks at its queue before it sleeps (a queued task makes the
+  // wait's timeout 0), so a post from the loop's own thread needs no wake.
+  if (!on_loop_thread()) wake();
 }
 
 TimerWheel::TimerId Reactor::schedule_after(double delay_seconds,
@@ -191,7 +193,7 @@ void Reactor::drain_tasks() {
 }
 
 void Reactor::run() {
-  loop_thread_id_ = std::this_thread::get_id();
+  loop_thread_id_.store(std::this_thread::get_id());
   epoll_event wake_ev{};
   wake_ev.events = EPOLLIN;
   wake_ev.data.u64 = pack(wake_fd_, 0);

@@ -80,7 +80,8 @@ class Reactor {
   void stop();
 
   // Run `fn` on the loop thread as soon as possible.  Thread-safe; safe to
-  // call from handlers (runs after the current dispatch batch).
+  // call from handlers (runs after the current dispatch batch).  Only a
+  // post from another thread writes the wake eventfd.
   void post(std::function<void()> fn);
 
   // Arm `fn` to run on the loop thread after `delay_seconds`.  Thread-safe.
@@ -96,7 +97,7 @@ class Reactor {
   void del_fd(int fd);
 
   bool on_loop_thread() const {
-    return std::this_thread::get_id() == loop_thread_id_;
+    return std::this_thread::get_id() == loop_thread_id_.load();
   }
 
   // Monotonic seconds on the loop's own epoch (what timer deadlines use).
@@ -132,7 +133,8 @@ class Reactor {
   int wake_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::thread thread_;
-  std::thread::id loop_thread_id_;
+  // Set by the loop thread as it starts; read from any thread by post().
+  std::atomic<std::thread::id> loop_thread_id_{};
 
   // Loop-thread-only: fd -> handler, with a generation stamp so an event
   // raced by a close-and-recycle of the same fd number within one

@@ -291,6 +291,8 @@ struct Conn : std::enable_shared_from_this<Conn> {
       ++state->in_flight;
     }
     if (!independent) barrier = true;
+    const bool on_loop = !state->workers || (state->opts.runs_on_loop &&
+                                             state->opts.runs_on_loop(msg.type));
     const std::uint64_t seq = next_seq++;
     auto self = shared_from_this();
     auto run = [self, seq, msg = std::move(msg)]() mutable {
@@ -323,13 +325,13 @@ struct Conn : std::enable_shared_from_this<Conn> {
         self->loop->post(std::move(finish));
       }
     };
-    if (state->workers) {
-      state->workers->submit(std::move(run));
-    } else {
+    if (on_loop) {
       // Inline handlers still go through the task queue: a burst of
       // pipelined requests unwinds iteratively instead of recursing
       // dispatch -> complete -> dispatch down the stack.
       loop->post(std::move(run));
+    } else {
+      state->workers->submit(std::move(run));
     }
   }
 

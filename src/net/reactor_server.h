@@ -28,8 +28,13 @@
 //     still arriving from a modelled disk): the reply is held in the
 //     sequence buffer until a loop timer fires, so the wait holds no
 //     thread, and a barrier still waits for every deferred predecessor;
-//   * handlers optionally run on a worker ThreadPool so a handler that
-//     blocks (chain forwarding to a peer) never stalls an event loop;
+//   * handlers run on the event loop that read the request, or on a
+//     worker ThreadPool when one is given, so a handler that blocks (chain
+//     forwarding to a peer) never stalls an event loop.  With a pool, the
+//     request types the owner marks ReactorServerOptions::runs_on_loop
+//     (handlers that never block, such as block reads) still run on the
+//     loop: no thread handoff on the way in or out.  Their CPU work (a
+//     block compressed for a client that asked for it) is loop time too;
 //   * replies land in a BOUNDED per-connection write queue -- a peer that
 //     stops reading gets its connection closed at the cap (back-pressure)
 //     instead of growing an unbounded thread stack or heap.  The queue
@@ -71,6 +76,11 @@ struct ReactorServerOptions {
   // owner sizes it to what can usefully overlap: worker threads for
   // handlers that block, modelled disks for replies that are deferred.
   std::size_t window = 1;
+  // Marks request types whose handlers never block, so they run on the
+  // event loop that read them even when the server has a worker pool
+  // (e.g. block reads, whose disk waits are loop timers).  Empty: with a
+  // pool, every handler runs on the pool.
+  std::function<bool(std::uint32_t type)> runs_on_loop;
 };
 
 struct ReactorServerStats {
@@ -117,8 +127,9 @@ class ReactorServer {
   using Handler = std::function<Reply(Message&&, std::uint64_t conn_id)>;
 
   // `workers` null runs handlers inline on the event loop (only for
-  // handlers that never block); non-null offloads them, keeping loops pure
-  // I/O.  The pool and the pool of reactors must outlive this server.
+  // handlers that never block); non-null offloads every request type but
+  // those options.runs_on_loop marks.  The pool and the pool of reactors
+  // must outlive this server.
   ReactorServer(ReactorPool& pool, Handler handler,
                 ReactorServerOptions options = {},
                 core::ThreadPool* workers = nullptr);

@@ -18,6 +18,14 @@
 
 namespace visapult::net {
 
+// One frame of a batch send: its header, then its payload.
+struct Frame {
+  const std::uint8_t* header = nullptr;
+  std::size_t header_len = 0;
+  const std::uint8_t* payload = nullptr;
+  std::size_t payload_len = 0;
+};
+
 class ByteStream {
  public:
   virtual ~ByteStream() = default;
@@ -35,6 +43,17 @@ class ByteStream {
     if (auto st = send_all(header, header_len); !st.is_ok()) return st;
     return send_all(payload, payload_len);
   }
+
+  // Blocking write of `count` frames, in order: a client's pipelined
+  // batch of requests.  Each run of coalesced frames (payload up to
+  // kCoalescePayloadBytes: requests that carry no block) is copied into
+  // one buffer sent with one send_all(); a larger frame (a block) goes by
+  // send_frame(), uncopied.  TcpStream overrides it only to count frames.
+  static constexpr std::size_t kCoalescePayloadBytes = 4096;
+  static bool coalesced(const Frame& f) {
+    return f.payload_len <= kCoalescePayloadBytes;
+  }
+  virtual core::Status send_frames(const Frame* frames, std::size_t count);
 
   // Blocking read of exactly `len` bytes.  kUnavailable on orderly peer
   // close before any byte, kDataLoss on close mid-message.

@@ -143,6 +143,15 @@ core::Status TcpStream::send_frame(const std::uint8_t* header,
   return core::Status::ok();
 }
 
+core::Status TcpStream::send_frames(const Frame* frames, std::size_t count) {
+  // The default sends what it coalesces with send_all(), which counts no
+  // frame, and every other frame with send_frame(), which counts it.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (coalesced(frames[i])) calls().frames.inc();
+  }
+  return ByteStream::send_frames(frames, count);
+}
+
 core::Status TcpStream::recv_all(std::uint8_t* data, std::size_t len) {
   const int fd = fd_.load();
   const double timeout = recv_timeout_seconds_.load();

@@ -41,6 +41,9 @@ class TcpStream final : public ByteStream {
   core::Status send_frame(const std::uint8_t* header, std::size_t header_len,
                           const std::uint8_t* payload,
                           std::size_t payload_len) override;
+  // The default batch send, with each frame it coalesces counted in
+  // frames_sent too.
+  core::Status send_frames(const Frame* frames, std::size_t count) override;
   // Honours set_recv_timeout(): with a timeout armed, a read that cannot
   // complete in time returns kDeadlineExceeded (the connection should be
   // considered poisoned: partial bytes may have been consumed).
@@ -72,7 +75,7 @@ class TcpStream final : public ByteStream {
 struct TcpCallCounts {
   std::uint64_t send_calls = 0;   // send() and sendmsg()
   std::uint64_t recv_calls = 0;   // recv()
-  std::uint64_t frames_sent = 0;  // send_frame() calls
+  std::uint64_t frames_sent = 0;  // frames, by send_frame() or send_frames()
 };
 TcpCallCounts tcp_call_counts();
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "dpss/deployment.h"
+#include "support/test_support.h"
 
 namespace visapult::dpss {
 namespace {
@@ -246,6 +249,69 @@ TEST(DpssStripeBlocks, LargerStripesStillCorrect) {
   std::vector<std::uint8_t> buf(expected.size());
   ASSERT_TRUE(file.value()->read(buf.data(), buf.size()).is_ok());
   EXPECT_EQ(buf, expected);
+}
+
+// A block server over a socketpair door that answers each read of block b
+// with a reply naming block `named(b)`, every byte `fill`, after `delay`
+// seconds.
+class FakeBlockServer {
+ public:
+  FakeBlockServer(std::uint32_t block_bytes,
+                  std::function<std::uint64_t(std::uint64_t)> named,
+                  std::uint8_t fill, double delay)
+      : door_([=](net::Message&& msg, std::uint64_t) -> net::Reply {
+          auto req = decode<BlockReadRequest>(msg);
+          if (!req.is_ok()) return encode_error_reply(req.status());
+          BlockReadReply reply;
+          reply.block = named(req.value().block);
+          reply.data.assign(block_bytes, fill);
+          return net::Reply(encode(reply), delay);
+        }) {}
+
+  core::Result<net::StreamPtr> connect() { return door_.connect(); }
+
+ private:
+  test_support::LocalDoor door_;
+};
+
+// A reply must name the block its request named.  Here server 1 answers
+// each request for block b with block b ^ 1, one of server 0's blocks,
+// after server 0's replies have landed.  Its leg fails and the read with
+// it, and none of its bytes reach the caller's buffer, not even the part
+// server 0's leg fills.
+TEST(DpssMisnamedReply, FailsItsLegAndFillsNoBuffer) {
+  constexpr std::uint32_t kBlock = 4096;
+  constexpr std::uint64_t kBlocks = 8;
+  constexpr std::uint8_t kLie = 0xEE;
+  Master master;
+  DatasetLayout layout;
+  layout.total_bytes = kBlocks * kBlock;
+  layout.block_bytes = kBlock;
+  layout.server_count = 2;
+  const std::vector<ServerAddress> servers = {{"server-0", 0},
+                                              {"server-1", 1}};
+  ASSERT_TRUE(master.register_dataset("ds", layout, servers).is_ok());
+  test_support::LocalDoor master_door(
+      [&master](net::Message&& msg, std::uint64_t) {
+        return master.handle_request(std::move(msg));
+      });
+  FakeBlockServer honest(
+      kBlock, [](std::uint64_t b) { return b; }, 0x01, 0.0);
+  FakeBlockServer liar(
+      kBlock, [](std::uint64_t b) { return b ^ 1; }, kLie, 0.05);
+  auto master_stream = master_door.connect();
+  ASSERT_TRUE(master_stream.is_ok());
+  DpssClient client(std::move(master_stream).take(),
+                    [&](const ServerAddress& addr) {
+                      return addr.port == 0 ? honest.connect()
+                                            : liar.connect();
+                    });
+  auto file = client.open("ds");
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+
+  std::vector<std::uint8_t> got(kBlocks * kBlock, 0);
+  EXPECT_FALSE(file.value()->pread(got.data(), got.size(), 0).is_ok());
+  EXPECT_EQ(std::count(got.begin(), got.end(), kLie), 0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "dpss/deployment.h"
 #include "net/message.h"
+#include "support/test_support.h"
 
 namespace visapult::dpss {
 namespace {
@@ -98,6 +99,105 @@ TYPED_TEST(DeploymentDoors, ChainWriteCountsOneRequestOnEachDownstreamPeerDoor) 
   }
   EXPECT_EQ(primaries, 1);
   EXPECT_EQ(downstream, 2);
+}
+
+template <typename D>
+class DeploymentReadPath : public ::testing::Test {
+ protected:
+  D deployment{4};
+};
+TYPED_TEST_SUITE(DeploymentReadPath, Transports, TransportName);
+
+// Summed over every block server: one exported sample, before and after.
+double summed(Deployment& deployment, const std::string& name) {
+  double total = 0;
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    total += sample(deployment.server(i), name);
+  }
+  return total;
+}
+
+// A 1 MiB read of 16 64 KiB blocks striped over 4 servers: each server's
+// leg sends its 4 requests with one send call, each block is copied once
+// on the client (from its reply frame into the caller's buffer) and never
+// out of a frame by decode, and every read runs on a loop, not on a
+// client door's worker pool.  An rf=3 write still runs on the pool, once,
+// at its primary.
+TYPED_TEST(DeploymentReadPath, ColdReadSendsOneBatchPerServerAndCopiesEachBlockOnce) {
+  constexpr std::uint32_t kBlock = 64 * 1024;
+  constexpr std::size_t kRead = 16 * kBlock;
+  auto& deployment = this->deployment;
+  const vol::DatasetDesc desc = vol::small_combustion_dataset(4);
+  vol::DatasetDesc rf3 = vol::small_combustion_dataset(1);
+  rf3.name = "combustion-64-rf3";
+  ASSERT_TRUE(deployment.ingest(desc, kBlock).is_ok());
+  ASSERT_TRUE(deployment.ingest(rf3, kBlock, 1, /*replication_factor=*/3)
+                  .is_ok());
+  auto client = new_client(deployment);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto file = client.value().open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  ASSERT_EQ(file.value()->size(), kRead);
+  obs::MetricsRegistry& file_reg = file.value()->metrics_registry();
+  auto copied = [&](const char* site) {
+    return file_reg
+        .counter(std::string("dpss_client_copy_") + site + "_bytes_total")
+        .value();
+  };
+  const char* kRequests = "dpss_server_requests_total";
+  // Counted when a task is queued, before its handler runs; the wait
+  // histogram is fed once the task has finished.
+  const char* kPoolTasks = "dpss_util_pool_tasks_submitted_total";
+  const char* kPoolWaits = "dpss_util_pool_task_wait_seconds_count";
+
+  const net::TcpCallCounts t0 = net::tcp_call_counts();
+  const double requests0 = summed(deployment, kRequests);
+  const double tasks0 = summed(deployment, kPoolTasks);
+  const double waits0 = summed(deployment, kPoolWaits);
+  std::vector<std::uint8_t> got(kRead);
+  auto n = file.value()->pread(got.data(), got.size(), 0);
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  ASSERT_EQ(n.value(), kRead);
+  const net::TcpCallCounts t1 = net::tcp_call_counts();
+  EXPECT_EQ(t1.frames_sent - t0.frames_sent, 16u);
+  EXPECT_EQ(t1.send_calls - t0.send_calls, 4u);
+  EXPECT_EQ(copied("user"), kRead);
+  EXPECT_EQ(copied("decode"), 0u);
+  EXPECT_EQ(summed(deployment, kRequests) - requests0, 16.0);
+  EXPECT_EQ(summed(deployment, kPoolTasks) - tasks0, 0.0);
+  EXPECT_EQ(summed(deployment, kPoolWaits) - waits0, 0.0);
+  std::vector<std::uint8_t> want;
+  for (int t = 0; t < desc.timesteps; ++t) {
+    const vol::Volume v = desc.generate(t);
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data().data());
+    want.insert(want.end(), p, p + v.byte_size());
+  }
+  EXPECT_TRUE(got == want);
+
+  auto writer = client.value().open(rf3.name);
+  ASSERT_TRUE(writer.is_ok()) << writer.status().to_string();
+  std::vector<double> client_requests;
+  std::vector<double> pool_tasks;
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    client_requests.push_back(deployment.server_net_stats(i).requests);
+    pool_tasks.push_back(sample(deployment.server(i), kPoolTasks));
+  }
+  const double waits1 = summed(deployment, kPoolWaits);
+  const std::vector<std::uint8_t> block(kBlock, 0xAB);
+  ASSERT_TRUE(writer.value()->write(block.data(), block.size()).is_ok());
+  EXPECT_TRUE(test_support::wait_until(
+      [&] { return summed(deployment, kPoolWaits) - waits1 == 1.0; }));
+  int primaries = 0;
+  for (int i = 0; i < deployment.server_count(); ++i) {
+    SCOPED_TRACE("server " + std::to_string(i));
+    const double writes =
+        deployment.server_net_stats(i).requests - client_requests[i];
+    const double tasks =
+        sample(deployment.server(i), kPoolTasks) - pool_tasks[i];
+    EXPECT_EQ(tasks, writes);
+    if (writes == 1) ++primaries;
+  }
+  EXPECT_EQ(primaries, 1);
 }
 
 // A pipe deployment's reads go through its doors: every server's client

@@ -1,8 +1,9 @@
 // Wire-codec fuzz: every DPSS message round-trips from randomized
 // instances.  Truncated, bit-flipped, count-inflated and retyped frames get
-// a typed status or a value from every decoder -- never a throw, and never
-// an allocation out of proportion to the frame -- and a well-formed reply
-// from the master and from a block server.
+// a typed status or a value from every decoder, the in-place block reply
+// decoder included -- never a throw, and never an allocation out of
+// proportion to the frame -- and a well-formed reply from the master and
+// from a block server.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -353,12 +354,33 @@ void probe(const net::Message& m) {
   EXPECT_EQ(twice.payload, once.payload);
 }
 
+// The in-place decoder of a block reply answers every frame as the owning
+// one does: the same status, or a view that lies inside the frame and
+// encodes to the owned reply's frame.
+void probe_view(const net::Message& m) {
+  auto view = tracked(m, [&] { return decode<BlockReadView>(m); });
+  if (!view) return;
+  auto owned = decode<BlockReadReply>(m);
+  ASSERT_EQ(view->is_ok(), owned.is_ok());
+  if (!view->is_ok()) {
+    EXPECT_EQ(view->status().code(), owned.status().code());
+    return;
+  }
+  const net::ByteView data = view->value().data;
+  if (data.size() > 0) {
+    EXPECT_GE(data.data(), m.payload.data());
+    EXPECT_LE(data.data() + data.size(), m.payload.data() + m.payload.size());
+  }
+  EXPECT_EQ(encode(view->value()).payload, encode(owned.value()).payload);
+}
+
 void probe_every_decoder(const net::Message& m) {
   auto one = [&](auto* tag) {
     probe<std::remove_pointer_t<decltype(tag)>>(m);
   };
   for_each_type(Requests{}, one);
   for_each_type(Replies{}, one);
+  probe_view(m);
   (void)tracked(m, [&] { return decode_error_reply(m); });
 }
 

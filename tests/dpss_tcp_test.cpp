@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dpss/deployment.h"
@@ -340,8 +343,9 @@ Copies copies(TcpDeployment& deployment) {
 // exactly.  Each replica copies the block once out of its request frame
 // and each forwarding hop once into the next frame; the store and the
 // tier copy nothing.  The read copies the block once on the server, into
-// its reply frame, and the reply leaves the reactor uncopied.  Every frame
-// a TcpStream sends is one send call.
+// its reply frame, and the reply leaves the reactor uncopied.  Each frame
+// here leaves a TcpStream in one send call: every block frame of the write
+// alone, and the read's one request as a batch of one.
 TEST(DpssTcp, ChainWriteAndWarmReadCopyCounts) {
   constexpr std::uint32_t kBlock = 8192;
   vol::DatasetDesc desc = vol::small_combustion_dataset(1);
@@ -395,9 +399,106 @@ TEST(DpssTcp, ChainWriteAndWarmReadCopyCounts) {
   EXPECT_EQ(c2.door - c1.door, net::kFrameHeaderBytes + 2 * request);
   EXPECT_EQ(t2.frames_sent - t1.frames_sent, 1u);
   EXPECT_EQ(t2.send_calls - t1.send_calls, 1u);
-  // Decode copied the reply's wire bytes out of its frame.
+  // The client copied the reply once, from its frame straight into the
+  // caller's buffer; decode copied nothing
+  // (dpss_client_copy_decode_bytes_total stays 0).
   EXPECT_EQ(file_reg.counter("dpss_client_wire_bytes_total").value(), kBlock);
   EXPECT_EQ(file_copies("user"), 2u * kBlock);
+  deployment.stop();
+}
+
+// Every batch a client's legs hand their streams: how many frames, and how
+// many of them carry a block.
+struct Batches {
+  using Batch = std::pair<std::size_t, std::size_t>;  // (frames, blocks)
+  std::mutex mu;
+  std::vector<Batch> sent;
+};
+
+// A TcpStream that records each send_frames() batch before passing it on.
+class RecordingStream final : public net::ByteStream {
+ public:
+  RecordingStream(net::StreamPtr inner, std::shared_ptr<Batches> log)
+      : inner_(std::move(inner)), log_(std::move(log)) {}
+
+  core::Status send_all(const std::uint8_t* data, std::size_t len) override {
+    return inner_->send_all(data, len);
+  }
+  core::Status send_frame(const std::uint8_t* header, std::size_t header_len,
+                          const std::uint8_t* payload,
+                          std::size_t payload_len) override {
+    return inner_->send_frame(header, header_len, payload, payload_len);
+  }
+  core::Status send_frames(const net::Frame* frames,
+                           std::size_t count) override {
+    Batches::Batch batch{count, 0};
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!coalesced(frames[i])) ++batch.second;
+    }
+    {
+      std::lock_guard lk(log_->mu);
+      log_->sent.push_back(batch);
+    }
+    return inner_->send_frames(frames, count);
+  }
+  core::Status recv_all(std::uint8_t* data, std::size_t len) override {
+    return inner_->recv_all(data, len);
+  }
+  void close() override { inner_->close(); }
+  core::Status set_recv_timeout(double seconds) override {
+    return inner_->set_recv_timeout(seconds);
+  }
+
+ private:
+  net::StreamPtr inner_;
+  std::shared_ptr<Batches> log_;
+};
+
+// A read leg hands its stream every request in one batch.  A write leg
+// hands it each block frame in a batch of its own, so it holds one encoded
+// block at a time.
+TEST(DpssTcp, ReadLegsBatchRequestsAndWriteLegsSendBlocksOneByOne) {
+  constexpr std::uint32_t kBlock = 8192;
+  constexpr std::size_t kBlocks = 8;
+  const vol::DatasetDesc desc = vol::small_combustion_dataset(1);
+  TcpDeployment deployment(2);
+  ASSERT_TRUE(deployment.ingest(desc, kBlock).is_ok());
+  auto master = net::TcpStream::connect("127.0.0.1", deployment.master_port());
+  ASSERT_TRUE(master.is_ok()) << master.status().to_string();
+  auto log = std::make_shared<Batches>();
+  DpssClient client(
+      std::move(master).take(),
+      [log](const ServerAddress& addr) -> core::Result<net::StreamPtr> {
+        auto s = net::TcpStream::connect(addr.host, addr.port);
+        if (!s.is_ok()) return s.status();
+        return net::StreamPtr(
+            std::make_shared<RecordingStream>(std::move(s).take(), log));
+      });
+  auto file = client.open(desc.name);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  DpssFile& f = *file.value();
+
+  // 8 blocks over 2 servers: 4 per leg.
+  std::vector<std::uint8_t> data(kBlocks * kBlock);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  ASSERT_TRUE(f.write(data.data(), data.size()).is_ok());
+  {
+    std::lock_guard lk(log->mu);
+    EXPECT_EQ(log->sent, std::vector<Batches::Batch>(kBlocks, {1, 1}));
+    log->sent.clear();
+  }
+
+  std::vector<std::uint8_t> got(data.size());
+  auto n = f.pread(got.data(), got.size(), 0);
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  EXPECT_EQ(got, data);
+  {
+    std::lock_guard lk(log->mu);
+    EXPECT_EQ(log->sent,
+              std::vector<Batches::Batch>(2, {kBlocks / 2, 0}));
+  }
   deployment.stop();
 }
 

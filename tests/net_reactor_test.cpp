@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <set>
 #include <thread>
@@ -220,6 +221,28 @@ TEST(Reactor, DispatchWaitHistogramSeesPostedTasks) {
   EXPECT_GE(wait.min, 0.0);
   // Post-to-run latency on an idle loop is far below a second.
   EXPECT_LT(wait.p99(), 1.0);
+}
+
+// A post from the loop's own thread writes no wake: the loop looks at its
+// queue before it sleeps.  Were a self-post stranded until the loop's
+// one-second wait ran out, this chain of 200 would take minutes.
+TEST(Reactor, SelfPostedChainRunsWithoutWaiting) {
+  Reactor reactor;
+  constexpr int kLinks = 200;
+  std::promise<void> done;
+  std::function<void(int)> link = [&](int left) {
+    if (left == 0) {
+      done.set_value();
+      return;
+    }
+    reactor.post([&link, left] { link(left - 1); });
+  };
+  reactor.post([&] { link(kLinks); });
+  EXPECT_EQ(done.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  // Stop before `link` goes out of scope: a stranded link may still be
+  // queued.
+  reactor.stop();
 }
 
 TEST(ReactorPool, RoundRobinCoversEveryLoop) {
@@ -466,6 +489,40 @@ TEST(ReactorServer, LocalDoorServesWithoutAListenerAndRefusesOnceClosed) {
   auto refused = server.connect_local();
   ASSERT_FALSE(refused.is_ok());
   EXPECT_EQ(refused.status().code(), core::StatusCode::kUnavailable);
+}
+
+// Request types marked runs_on_loop run on the loop that read them even
+// beside a worker pool; every other type still goes to the pool.
+TEST(ReactorServer, MarkedRequestsRunOnTheLoopBesideAPool) {
+  ReactorPool pool(1);
+  core::ThreadPool workers(1);
+  ReactorServerOptions opts;
+  opts.runs_on_loop = [](std::uint32_t type) { return type == 100; };
+  std::atomic<int> marked_on_loop{-1};
+  std::atomic<int> unmarked_on_loop{-1};
+  ReactorServer server(
+      pool,
+      [&](Message&& m, std::uint64_t) {
+        const int on_loop = pool.at(0).on_loop_thread() ? 1 : 0;
+        (m.type == 100 ? marked_on_loop : unmarked_on_loop).store(on_loop);
+        return m;
+      },
+      opts, &workers);
+  auto client = server.connect_local();
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  Message unmarked = seq_message(1);
+  unmarked.type = kBarrierType;
+  ASSERT_TRUE(send_message(*client.value(), seq_message(0)).is_ok());
+  ASSERT_TRUE(send_message(*client.value(), unmarked).is_ok());
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    auto reply = recv_message(*client.value());
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(seq_of(reply.value()), i);
+  }
+  EXPECT_EQ(marked_on_loop.load(), 1);
+  EXPECT_EQ(unmarked_on_loop.load(), 0);
+  EXPECT_EQ(workers.stats().submitted, 1u);
+  server.close();
 }
 
 TEST(ReactorServer, CloseDrainsInFlightHandlers) {
